@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -74,10 +75,33 @@ def _parse_t_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad t-list {text!r}") from None
 
 
-def _even_int(text: str) -> int:
-    value = int(text)
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+
+    return parse
+
+
+def _cell_count(text: str) -> int:
+    value = _at_least(64)(text)
     if value % 2:
         raise argparse.ArgumentTypeError("cell count must be even")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
     return value
 
 
@@ -93,18 +117,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-theorem", help="run the full verification pipeline")
-    p.add_argument("--half-width", type=float, default=12.0)
-    p.add_argument("--cells", type=_even_int, default=4096)
-    p.add_argument("--tol-shape", type=float, default=1e-9)
-    p.add_argument("--tol-mgf", type=float, default=1e-8)
+    p.add_argument("--half-width", type=_positive_float, default=12.0)
+    p.add_argument("--cells", type=_cell_count, default=4096)
+    p.add_argument("--tol-shape", type=_positive_float, default=1e-9)
+    p.add_argument("--tol-mgf", type=_positive_float, default=1e-8)
     p.add_argument("--with-mc", action="store_true", help="include the seeded KS step")
-    p.add_argument("--n", type=int, default=10**6, help="Monte Carlo sample size")
+    p.add_argument("--n", type=_at_least(1), default=10**6, help="Monte Carlo sample size")
     p.add_argument("--out", default=None, help="write the JSON report here ('-' = stdout)")
 
     p = sub.add_parser("density", help="write a discretized density as CSV")
     p.add_argument("--law", choices=dist.builtin_density_names(), required=True)
-    p.add_argument("--half-width", type=float, default=12.0)
-    p.add_argument("--cells", type=_even_int, default=4096)
+    p.add_argument("--half-width", type=_positive_float, default=12.0)
+    p.add_argument("--cells", type=_cell_count, default=4096)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -112,15 +136,15 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--law", choices=dist.builtin_density_names())
     src.add_argument("--in", dest="infile", help="grid CSV path ('-' = stdin)")
-    p.add_argument("--half-width", type=float, default=12.0)
-    p.add_argument("--cells", type=_even_int, default=4096)
+    p.add_argument("--half-width", type=_positive_float, default=12.0)
+    p.add_argument("--cells", type=_cell_count, default=4096)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("mgf", help="MGF values by every applicable route")
     p.add_argument("--law", choices=dist.builtin_density_names(), default="normal-product")
     p.add_argument("--t", type=_parse_t_list, required=True, help="comma list, e.g. 0,0.5,0.9")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("shape", help="log-concavity / log-convexity verdicts")
@@ -132,8 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default="-", help="grid CSV for log-concave")
     p.add_argument("--function", choices=("k0",), default="k0", help="for interval checks")
     p.add_argument("--interval", default="0.01,30", help="a,b for interval checks")
-    p.add_argument("--probes", type=int, default=2048)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--probes", type=_at_least(3), default=2048)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("sample", help="seeded Monte Carlo draws, optional KS test")
@@ -143,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--out", default="-", help="values CSV")
     p.add_argument("--ks", action="store_true", help="also test against the Laplace CDF")
     p.add_argument("--alpha", type=float, default=0.001)

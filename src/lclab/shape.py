@@ -192,29 +192,6 @@ def check_log_concavity_grid(g: GridDensity, tol: float) -> ShapeVerdict:
     return ShapeVerdict(ShapeProperty.LOG_CONCAVE, Outcome.FAILS, witness, tol, (lo, hi))
 
 
-def max_concavity_violation(g: GridDensity) -> float:
-    """Largest midpoint-concavity violation of ln v over all stride triples.
-
-    Diagnostic companion to :func:`check_log_concavity_grid` (same triple
-    set and certification mask); negative values mean concavity holds with
-    margin.
-    """
-    v = g.values
-    n = v.size
-    usable = _certified_nodes(g)
-    logv = np.full(n, -np.inf)
-    logv[usable] = np.log(v[usable])
-    worst = -np.inf
-    for j in _strides((n - 1) // 2):
-        ok = usable[j:-j] & usable[: -2 * j] & usable[2 * j :]
-        if not ok.any():
-            continue
-        with np.errstate(invalid="ignore"):
-            viol = np.where(ok, 0.5 * (logv[: -2 * j] + logv[2 * j :]) - logv[j:-j], -np.inf)
-        worst = max(worst, float(viol.max()))
-    return worst
-
-
 def _eval_positive(f: Callable, x: np.ndarray, what: str) -> np.ndarray:
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:

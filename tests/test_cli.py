@@ -137,6 +137,24 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theorem", "--half-width", "-1"],
+        ["verify-theorem", "--cells", "10"],
+        ["verify-theorem", "--tol-shape", "nan"],
+        ["verify-theorem", "--with-mc", "--n", "0"],
+        ["shape", "--property", "log-convex", "--probes", "2"],
+    ],
+)
+def test_invalid_numeric_values_exit_2(argv, capsys):
+    # bad values are usage errors, never reported as verification failures
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_1(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "density", "--law", "normal",

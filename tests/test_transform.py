@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lclab import dist, transform
+from lclab import dist, shape, transform
 from lclab.errors import DivergenceError, DomainError, NonConvergenceError, NotNormalizedError
 from lclab.transform import MGFMethod
 
@@ -73,6 +73,55 @@ def test_fft_matches_direct_correlation():
         fft = transform.self_difference(g, use_fft=True)
         direct = transform.self_difference(g, use_fft=False)
         assert np.max(np.abs(fft.values - direct.values)) <= 1e-10
+
+
+def _assert_relative(fft, direct, rel):
+    # every entry in the normal double range to ``rel``; below 2^-1022 the
+    # direct sums themselves lose products to underflow
+    tiny = np.finfo(float).tiny
+    assert np.all(np.abs(fft - direct) <= rel * direct + tiny)
+
+
+@pytest.mark.parametrize("law", dist.builtin_density_names())
+@pytest.mark.parametrize("cells", [64, 4096, 2**14])
+@pytest.mark.parametrize("half_width", [12.0, 48.0])
+def test_fft_correlation_relative_accuracy_on_every_entry(law, cells, half_width):
+    g = dist.discretize(dist.builtin_density(law), half_width, cells)
+    fft = transform.self_difference(g, use_fft=True)
+    direct = transform.self_difference(g, use_fft=False)
+    _assert_relative(fft.values, direct.values, 1e-12)
+    if law == "normal" and half_width == 48.0:
+        assert np.count_nonzero(direct.values == 0.0) > 0  # the tail underflows
+
+
+def test_fft_correlation_accurate_into_subnormal_tails():
+    # at half-width 1000 the Laplace grid runs into subnormal values, so some
+    # tilts peak on a subnormal entry; the reference sums in extended
+    # precision, where the double direct sums lose products to underflow
+    g = dist.discretize(dist.laplace(), 1000.0, 4096)
+    v = g.values.astype(np.longdouble)
+    direct = np.correlate(v, v, mode="full")[g.n_cells - 1 :]
+    fft = transform._correlation_sums(g.values, use_fft=True)
+    tiny = np.finfo(float).tiny
+    assert np.all(np.abs(fft - direct) <= 1e-12 * np.maximum(direct, tiny))
+
+
+@pytest.mark.parametrize("cells", [64, 1000, 4096, 2**14])
+def test_fft_self_sum_relative_accuracy_on_asymmetric_input(cells):
+    rng = np.random.default_rng(cells)
+    values = rng.uniform(0.05, 1.0, cells) * np.exp(-np.linspace(0.0, 30.0, cells))
+    g = dist.GridDensity(4.0, values).normalized()
+    fft = transform.self_sum(g, use_fft=True)
+    direct = transform.self_sum(g, use_fft=False)
+    _assert_relative(fft.values, direct.values, 1e-12)
+    assert fft.values[-1] < 1e-20 * fft.values.max()  # a tail the plain FFT loses
+
+
+def test_product_selfdiff_log_concave_far_into_the_tail():
+    # entries near 1e-8 of the peak, where a plain FFT's absolute round-off
+    # breaks log-concavity at tol 1e-9 at this size
+    g = dist.discretize(dist.normal_product(), 48.0, 2**14)
+    assert shape.check_log_concavity_grid(transform.self_difference(g), 1e-9).holds
 
 
 def test_mass_conservation(product_selfdiff, product_grid):
