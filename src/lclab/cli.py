@@ -105,6 +105,26 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _open_unit_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 1)")
+    return value
+
+
+def _interval(text: str) -> tuple[float, float]:
+    try:
+        a, b = (float(tok) for tok in text.split(","))
+    except ValueError:
+        a = b = math.nan
+    if not 0.0 < a < b < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an interval a,b with 0 < a < b")
+    return a, b
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lclab",
@@ -155,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--in", dest="infile", default="-", help="grid CSV for log-concave")
     p.add_argument("--function", choices=("k0",), default="k0", help="for interval checks")
-    p.add_argument("--interval", default="0.01,30", help="a,b for interval checks")
+    p.add_argument("--interval", type=_interval, default="0.01,30", help="a,b for interval checks")
     p.add_argument("--probes", type=_at_least(3), default=2048)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--out", default="-")
@@ -170,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--out", default="-", help="values CSV")
     p.add_argument("--ks", action="store_true", help="also test against the Laplace CDF")
-    p.add_argument("--alpha", type=float, default=0.001)
+    p.add_argument("--alpha", type=_open_unit_float, default=0.001)
     p.add_argument("--ks-out", default=None, help="KS report JSON path")
     return parser
 
@@ -238,10 +258,7 @@ def _cmd_shape(args) -> int:
         grid = dist.GridDensity.from_csv(_read_text(args.infile))
         verdict = shape.check_log_concavity_grid(grid, args.tol)
     else:
-        try:
-            a, b = (float(tok) for tok in args.interval.split(","))
-        except ValueError:
-            raise DomainError(f"bad --interval {args.interval!r}") from None
+        a, b = args.interval
         if args.property == "log-convex":
             verdict = shape.check_log_convexity_interval(
                 specfun.k0_values, a, b, args.probes, args.tol

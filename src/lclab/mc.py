@@ -7,6 +7,12 @@ results.  Normal variates are the inverse standard-normal CDF of one
 uniform each (monotone and stream-order-stable, unlike rejection
 samplers), so value j of a generator consuming w normals per value owns
 exactly the uniform indices ``w*j .. w*j + w - 1``.
+
+Generation is blocked and in place: the stream is produced ``_BLOCK``
+counter positions at a time through a few preallocated buffers that stay
+in cache (counter -> SplitMix64 -> uniform -> ``ndtri`` -> product or
+difference, all with ``out=`` ufuncs), so a batch needs its output plus
+O(block) memory and stays bit-identical to the counter definition above.
 """
 
 from __future__ import annotations
@@ -74,24 +80,58 @@ class KSReport:
         }
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+#: Counter positions per generation block: the three 512 KiB block buffers
+#: (counter steps, mixed bits, uniforms/normals) fit in a 2 MiB L2 cache.
+_BLOCK = 1 << 16
+
+
+def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64 finalizer applied to z in place; tmp is scratch of z's shape."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+
+
+def _counter_steps(count: int) -> np.ndarray:
+    """i * GOLDEN for i < min(count, _BLOCK): the in-block counter offsets."""
+    return np.arange(min(count, _BLOCK), dtype=np.uint64) * _GOLDEN_GAMMA
+
+
+def _uniforms_into(
+    key: int, start: int, steps: np.ndarray, bits: np.ndarray, out: np.ndarray
+) -> None:
+    """Uniforms at counter positions start..start+len(out)-1, written into out.
+
+    ``steps``, ``bits`` and ``out`` have one length (at most ``_BLOCK``);
+    ``out`` doubles as the mixing scratch before it receives the uniforms.
+    """
+    base = np.uint64((key + (start + 1) * int(_GOLDEN_GAMMA)) % (1 << 64))
+    np.add(steps, base, out=bits)
+    _mix64_into(bits, out.view(np.uint64))
+    # 53-bit mantissa, offset by half a lattice cell so 0 and 1 are excluded
+    np.right_shift(bits, np.uint64(11), out=bits)
+    np.add(bits, 0.5, out=out)
+    np.multiply(out, 2.0**-53, out=out)
 
 
 def uniform_stream(key: int, start: int, count: int) -> np.ndarray:
     """Uniforms in (0, 1) at counter positions start..start+count-1."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        raw = _mix64(np.uint64(key) + (idx + np.uint64(1)) * _GOLDEN_GAMMA)
-    # 53-bit mantissa, offset by half a lattice cell so 0 and 1 are excluded
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+    out = np.empty(count)
+    steps = _counter_steps(count)
+    bits = np.empty_like(steps)
+    for a in range(0, count, _BLOCK):
+        m = min(_BLOCK, count - a)
+        _uniforms_into(key, start + a, steps[:m], bits[:m], out[a : a + m])
+    return out
 
 
 def _stream_key(generator: Generator, seed: int) -> int:
-    tagged = np.uint64(seed % (1 << 64)) ^ _STREAM_TAG[generator.value]
-    return int(_mix64(tagged.reshape(1))[0])
+    z = np.array([seed % (1 << 64)], dtype=np.uint64) ^ _STREAM_TAG[generator.value]
+    _mix64_into(z, np.empty_like(z))
+    return int(z[0])
 
 
 _NORMALS_PER_VALUE = {
@@ -100,13 +140,24 @@ _NORMALS_PER_VALUE = {
 }
 
 
-def _values_for_range(generator: Generator, key: int, lo: int, hi: int) -> np.ndarray:
+def _values_for_range(generator: Generator, key: int, lo: int, out: np.ndarray) -> None:
+    """Values lo..lo+len(out)-1 of the generator's stream, written into out."""
     w = _NORMALS_PER_VALUE[generator]
-    u = uniform_stream(key, w * lo, w * (hi - lo)).reshape(hi - lo, w)
-    z = ndtri(u)
-    if generator is Generator.NORMAL_PRODUCT:
-        return z[:, 0] * z[:, 1]
-    return z[:, 0] * z[:, 1] - z[:, 2] * z[:, 3]
+    per_block = _BLOCK // w
+    steps = _counter_steps(w * out.size)
+    bits = np.empty_like(steps)
+    normals = np.empty(steps.size)
+    for a in range(0, out.size, per_block):
+        m = min(per_block, out.size - a)
+        z = normals[: w * m]
+        _uniforms_into(key, w * (lo + a), steps[: w * m], bits[: w * m], z)
+        ndtri(z, out=z)
+        z = z.reshape(m, w)
+        dst = out[a : a + m]
+        np.multiply(z[:, 0], z[:, 1], out=dst)
+        if generator is Generator.PRODUCT_SELF_DIFFERENCE:
+            np.multiply(z[:, 2], z[:, 3], out=z[:, 2])
+            np.subtract(dst, z[:, 2], out=dst)
 
 
 def sample(generator: Generator, seed: int, n: int, *, n_chunks: int = 1) -> SampleBatch:
@@ -122,13 +173,12 @@ def sample(generator: Generator, seed: int, n: int, *, n_chunks: int = 1) -> Sam
         raise ValueError("n_chunks must be in [1, n]")
     generator = Generator(generator)
     key = _stream_key(generator, seed)
+    values = np.empty(n)
     bounds = np.linspace(0, n, n_chunks + 1, dtype=int)
-    parts = [
-        _values_for_range(generator, key, int(lo), int(hi))
-        for lo, hi in zip(bounds, bounds[1:])
-        if hi > lo
-    ]
-    return SampleBatch(generator, int(seed), int(n), np.concatenate(parts))
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > lo:
+            _values_for_range(generator, key, int(lo), values[lo:hi])
+    return SampleBatch(generator, int(seed), int(n), values)
 
 
 def kolmogorov_threshold(alpha: float) -> float:
@@ -170,14 +220,18 @@ def ks_statistic(batch: SampleBatch, cdf: Callable, alpha: float = 0.001) -> KSR
         raise ValueError("empty sample batch")
     x = np.sort(values)
     f = np.asarray(cdf(x), dtype=float)
-    if np.any(np.diff(f) < 0.0):
+    if np.any(f[1:] < f[:-1]):
         raise ValueError("reference CDF is not monotone on the sample")
     if f[0] < 0.0 or f[-1] > 1.0:
         raise ValueError("reference CDF leaves [0, 1]")
     n = x.size
-    i = np.arange(1, n + 1)
-    d_plus = float(np.max(i / n - f))
-    d_minus = float(np.max(f - (i - 1) / n))
+    # levels[k] = k/n, so i/n = levels[1:] and (i-1)/n = levels[:-1] for
+    # i = 1..n, each the same double as the integer quotient
+    levels = np.arange(n + 1, dtype=float)
+    np.divide(levels, n, out=levels)
+    gap = np.empty(n)
+    d_plus = float(np.max(np.subtract(levels[1:], f, out=gap)))
+    d_minus = float(np.max(np.subtract(f, levels[:-1], out=gap)))
     d = max(d_plus, d_minus)
     scaled = math.sqrt(n) * d
     threshold = kolmogorov_threshold(alpha)

@@ -81,15 +81,19 @@ def _density_identity_step() -> StepResult:
     )
 
 
-def _mgf_identity_step(tol_mgf: float) -> StepResult:
+def _mgf_table(tol_mgf: float) -> dict[float, float]:
+    """Density-quadrature M(t) of the product law, once per distinct t of steps 2-3."""
     product = dist.normal_product()
+    ts = set(_MGF_T) | set(_FACTORIZATION_T) | {-t for t in _FACTORIZATION_T}
+    return {t: transform.mgf_via_density(product, t, tol_mgf).value for t in sorted(ts)}
+
+
+def _mgf_identity_step(tol_mgf: float, mgf: dict[float, float]) -> StepResult:
     worst_density = 0.0
     worst_conditioning = 0.0
     for t in _MGF_T:
         closed = 1.0 / math.sqrt(1.0 - t * t)
-        worst_density = max(
-            worst_density, abs(transform.mgf_via_density(product, t, tol_mgf).value - closed)
-        )
+        worst_density = max(worst_density, abs(mgf[t] - closed))
         worst_conditioning = max(
             worst_conditioning, abs(transform.mgf_via_conditioning(t, tol_mgf).value - closed)
         )
@@ -105,14 +109,11 @@ def _mgf_identity_step(tol_mgf: float) -> StepResult:
     )
 
 
-def _mgf_factorization_step(tol_mgf: float) -> StepResult:
-    product = dist.normal_product()
+def _mgf_factorization_step(mgf: dict[float, float]) -> StepResult:
     worst = 0.0
     for t in _FACTORIZATION_T:
-        m_pos = transform.mgf_via_density(product, t, tol_mgf).value
-        m_neg = transform.mgf_via_density(product, -t, tol_mgf).value
         closed = transform.mgf_difference_closed_form(t).value
-        worst = max(worst, abs(m_pos * m_neg - closed))
+        worst = max(worst, abs(mgf[t] * mgf[-t] - closed))
     return StepResult(
         "mgf-factorization",
         worst <= _FACTORIZATION_TOL,
@@ -202,11 +203,12 @@ def run_verification(
     product_grid = dist.discretize(dist.normal_product(), half_width, n_cells)
     laplace_grid = dist.discretize(dist.laplace(), half_width, n_cells)
     diff = transform.self_difference(product_grid)
+    mgf = _mgf_table(tol_mgf)
 
     steps = [
         _density_identity_step(),
-        _mgf_identity_step(tol_mgf),
-        _mgf_factorization_step(tol_mgf),
+        _mgf_identity_step(tol_mgf, mgf),
+        _mgf_factorization_step(mgf),
         _laplace_identification_step(diff),
         _shape_step(product_grid, diff, laplace_grid, tol_shape),
     ]

@@ -145,6 +145,13 @@ def test_usage_errors_exit_2(capsys):
         ["verify-theorem", "--tol-shape", "nan"],
         ["verify-theorem", "--with-mc", "--n", "0"],
         ["shape", "--property", "log-convex", "--probes", "2"],
+        ["sample", "--generator", "normal-product", "--seed", "1", "--n", "10", "--ks",
+         "--alpha", "2"],
+        ["sample", "--generator", "normal-product", "--seed", "1", "--n", "10", "--ks",
+         "--alpha", "nan"],
+        ["shape", "--property", "log-convex", "--interval", "5,1"],
+        ["shape", "--property", "ratio-monotone", "--interval", "0.1,2,3"],
+        ["shape", "--property", "log-convex", "--interval", "0,30"],
     ],
 )
 def test_invalid_numeric_values_exit_2(argv, capsys):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from lclab import dist, mc
 from lclab.mc import Generator
@@ -109,6 +111,8 @@ def test_ks_rejects_empty_and_nonmonotone():
     batch = mc.sample(Generator.NORMAL_PRODUCT, 1, 100)
     with pytest.raises(ValueError):
         mc.ks_statistic(batch, lambda x: -x)
+    with pytest.raises(ValueError):
+        mc.ks_statistic(batch, lambda x: dist.laplace_cdf(x) + 0.5)
 
 
 def test_golden_seed_table_against_laplace():
@@ -155,3 +159,83 @@ def test_uniform_stream_range_and_determinism():
     u = mc.uniform_stream(123, 0, 10_000)
     assert np.all((u > 0.0) & (u < 1.0))
     assert np.array_equal(u[5000:], mc.uniform_stream(123, 5000, 5000))
+
+
+def _reference_uniforms(key, start, count):
+    # the counter definition as one full-array expression
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    z = np.uint64(key) + (idx + np.uint64(1)) * mc._GOLDEN_GAMMA
+    z = (z ^ (z >> np.uint64(30))) * mc._MIX1
+    z = (z ^ (z >> np.uint64(27))) * mc._MIX2
+    z = z ^ (z >> np.uint64(31))
+    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+
+
+def _reference_values(generator, seed, n):
+    w = mc._NORMALS_PER_VALUE[generator]
+    key = mc._stream_key(generator, seed)
+    z = ndtri(_reference_uniforms(key, 0, w * n).reshape(n, w))
+    if generator is Generator.NORMAL_PRODUCT:
+        return z[:, 0] * z[:, 1]
+    return z[:, 0] * z[:, 1] - z[:, 2] * z[:, 3]
+
+
+def _block_sizes(generator):
+    b = mc._BLOCK // mc._NORMALS_PER_VALUE[generator]
+    return (1, b - 1, b, b + 1, 3 * b + 7)
+
+
+@pytest.mark.parametrize("generator", list(Generator))
+def test_blocked_sampler_matches_full_array_reference(generator):
+    for n in _block_sizes(generator):
+        expected = _reference_values(generator, 101, n)
+        assert np.array_equal(mc.sample(generator, 101, n).values, expected)
+
+
+@pytest.mark.parametrize("generator", list(Generator))
+def test_blocked_sampler_matches_reference_at_chunk_offsets(generator):
+    # chunks start at non-zero, non-block-aligned value offsets
+    n = _block_sizes(generator)[-1]
+    expected = _reference_values(generator, 7, n)
+    for k in (2, 3, 5):
+        assert np.array_equal(mc.sample(generator, 7, n, n_chunks=k).values, expected)
+
+
+def test_uniform_stream_across_block_boundary_matches_reference():
+    start = mc._BLOCK - 5
+    count = 2 * mc._BLOCK + 11
+    assert np.array_equal(
+        mc.uniform_stream(99, start, count), _reference_uniforms(99, start, count)
+    )
+
+
+def test_sample_memory_is_output_plus_block_buffers():
+    n = 10**6
+    tracemalloc.start()
+    try:
+        batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.values.nbytes == 8 * n
+    assert peak <= 2.5 * batch.values.nbytes
+
+
+def _textbook_ks(values, cdf):
+    x = np.sort(values)
+    f = cdf(x)
+    n = x.size
+    i = np.arange(1, n + 1)
+    return max(float(np.max(i / n - f)), float(np.max(f - (i - 1) / n)))
+
+
+def test_ks_statistic_equals_textbook_formula():
+    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 104, 200_001)
+    report = mc.ks_statistic(batch, dist.laplace_cdf)
+    assert report.statistic == _textbook_ks(batch.values, dist.laplace_cdf)
+    n = 1000
+    p = (np.arange(1, n + 1) - 0.5) / n
+    quantiles = np.where(p <= 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
+    exact = mc.SampleBatch(Generator.PRODUCT_SELF_DIFFERENCE, 0, n, quantiles)
+    report = mc.ks_statistic(exact, dist.laplace_cdf)
+    assert report.statistic == _textbook_ks(quantiles, dist.laplace_cdf)
