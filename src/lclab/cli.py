@@ -174,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--in", dest="infile", default="-", help="grid CSV for log-concave")
-    p.add_argument("--function", choices=("k0",), default="k0", help="for interval checks")
     p.add_argument("--interval", type=_interval, default="0.01,30", help="a,b for interval checks")
     p.add_argument("--probes", type=_at_least(3), default=2048)
     p.add_argument("--tol", type=_positive_float, default=1e-9)

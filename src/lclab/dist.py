@@ -127,8 +127,12 @@ def laplace_density(x):
 def laplace_cdf(x):
     """Laplace(0,1) CDF: exp(x)/2 for x <= 0, 1 - exp(-x)/2 otherwise."""
     arr = np.asarray(x, dtype=float)
-    out = np.where(arr <= 0.0, 0.5 * np.exp(np.minimum(arr, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(arr, 0.0)))
-    return out if arr.ndim else float(out)
+    # one exponential serves both branches; 1 - half is taken in place, so a
+    # KS call holds no n-length temporaries beyond the result
+    half = np.exp(-np.abs(arr), out=np.empty_like(arr))
+    half *= 0.5
+    np.subtract(1.0, half, out=half, where=arr > 0.0)
+    return half if arr.ndim else float(half)
 
 
 def normal_product_cdf(x: float, tol: float = 1e-10) -> float:

@@ -1,128 +1,30 @@
 """Modified Bessel functions K0 and K1 of a positive real argument.
 
-Two evaluation branches:
-
-* ``x <= 2``: the ascending series around the logarithmic singularity,
-
-      K0(x) = -(ln(x/2) + gamma) I0(x) + sum_{k>=1} H_k (x^2/4)^k / (k!)^2
-
-  (and the analogous series for K1), summed term by term in double
-  precision.
-
-* ``x > 2``: Chebyshev expansions of the exponentially scaled functions
-  ``exp(x) sqrt(x) K_nu(x)`` in the variable ``s = 4/x - 1``.  The scaled
-  function tends to ``sqrt(pi/2)`` as ``x -> inf``, so this branch is the
-  asymptotic form ``exp(-x) sqrt(pi/(2x)) (1 + ...)`` with the bracket
-  replaced by a convergent fit: the classical divergent asymptotic series
-  cannot reach 1e-13 accuracy near the crossover, a Chebyshev fit of the
-  scaled function can.  Coefficients were generated at 60-digit working
-  precision and are accurate to ~1e-20, i.e. beyond double precision.
+Values come from ``scipy.special`` (``k0``, ``k1`` and the exponentially
+scaled ``k0e = exp(x) K0``, ``k1e = exp(x) K1``; Cephes, Moshier 1989).
+The scaled functions give ``ln K0 = ln k0e(x) - x`` without underflow and
+the ratio ``K0'/K0 = -k1e/k0e`` with the exponential scaling cancelled.
 
 An adaptive-quadrature oracle for the integral representation
 ``K0(x) = int_0^inf exp(-x cosh t) dt`` gives an independent cross-check;
-it shares no code with the branches above and is meant for tests and
+it shares no code with the scipy evaluation and is meant for tests and
 verification pipelines, not production evaluation.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import k0, k0e, k1, k1e
 
 from .errors import DomainError
 from .quadrature import adaptive_quad
 
-#: Euler-Mascheroni constant, 30 significant digits.
-EULER_GAMMA = 0.577215664901532860606512090082
-
-#: Branch crossover: series at or below, scaled Chebyshev above.
-SERIES_CUTOFF = 2.0
-
 # exp(z) underflows to zero in double precision below roughly -745.13;
 # integrands/results beyond that are truncated or flushed to zero.
 _EXP_UNDERFLOW = 745.0
-
-# Chebyshev coefficients of exp(x) sqrt(x) K0(x) in T_j(4/x - 1), x in
-# [2, inf); c_0 first and weighted 1/2 in evaluation.
-_K0_SCALED_CHEB = (
-    2.44030308206595545,
-    -0.0314481013119645005,
-    0.00156988388573005337,
-    -0.000128495495816278026,
-    0.0000139498137188764994,
-    -1.83175552271911948e-6,
-    2.76681363944501508e-7,
-    -4.66048989768794767e-8,
-    8.57403401741422609e-9,
-    -1.69753450938906152e-9,
-    3.57739728140032845e-10,
-    -7.95748924447739704e-11,
-    1.85594911495492655e-11,
-    -4.51459788337451918e-12,
-    1.14034058820734423e-12,
-    -2.98009692314817835e-13,
-    8.03289077506837437e-14,
-    -2.22751332674629636e-14,
-    6.34007647627664596e-15,
-    -1.84859337792090717e-15,
-    5.51205599940433327e-16,
-    -1.67823112575490042e-16,
-    5.21039177764354903e-17,
-    -1.64758059398425160e-17,
-    5.30043377117706547e-18,
-    -1.73317120058147160e-18,
-    5.75510920286804165e-19,
-    -1.93909560528384158e-19,
-    6.62461053372062532e-20,
-    -2.29321971511806202e-20,
-)
-
-# Same for exp(x) sqrt(x) K1(x).
-_K1_SCALED_CHEB = (
-    2.72062619048444267,
-    0.103923736576817238,
-    -0.00285781685962277939,
-    0.000195215518471351631,
-    -0.0000193619797416608296,
-    2.40648494783721712e-6,
-    -3.50196060308781254e-7,
-    5.74108412545004929e-8,
-    -1.03457624656780970e-8,
-    2.01504975519703462e-9,
-    -4.19035475934192558e-10,
-    9.21831518760531413e-11,
-    -2.12996783842779102e-11,
-    5.13963967348234354e-12,
-    -1.28917396094982294e-12,
-    3.34841966605224312e-13,
-    -8.97670518201014607e-14,
-    2.47715442421959868e-14,
-    -7.01983708921476885e-15,
-    2.03870316623986088e-15,
-    -6.05704727064301772e-16,
-    1.83809357524304519e-16,
-    -5.68946284919364307e-17,
-    1.79405104788634507e-17,
-    -5.75674448207301964e-18,
-    1.87786519016166885e-18,
-    -6.22164528733722387e-19,
-    2.09191252694693843e-19,
-    -7.13271290748578474e-20,
-    2.46457513970162733e-20,
-)
-
-_SERIES_TERMS = 18  # q^k/(k!)^2 with q <= 1 is < 1e-20 past k = 14
-
-
-class Method(enum.Enum):
-    """How an evaluation was obtained."""
-
-    SERIES = "series"
-    ASYMPTOTIC = "asymptotic"
-    QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True)
@@ -131,179 +33,67 @@ class EvalResult:
 
     value: float
     abs_error_bound: float
-    method: Method
 
 
-def _validate_positive(x: np.ndarray) -> None:
+def _validate_positive(x) -> np.ndarray:
+    """x as a float array; DomainError unless every entry is finite and > 0."""
+    x = np.asarray(x, dtype=float)
     if x.size and not np.all(x > 0.0):
         raise DomainError("argument must be strictly positive")
     if x.size and not np.all(np.isfinite(x)):
         raise DomainError("argument must be finite")
-
-
-def _k0_series_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (K0, I0, H-sum) from the ascending series; valid for x <= 2."""
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    i0 = np.ones_like(x)
-    hsum = np.zeros_like(x)
-    harmonic = 0.0
-    for k in range(1, _SERIES_TERMS + 1):
-        term = term * q / (k * k)
-        i0 = i0 + term
-        harmonic += 1.0 / k
-        hsum = hsum + harmonic * term
-    k0 = -(np.log(0.5 * x) + EULER_GAMMA) * i0 + hsum
-    return k0, i0, hsum
-
-
-def _k1_series(x: np.ndarray) -> np.ndarray:
-    """Ascending series for K1; valid for x <= 2.
-
-    K1(x) = 1/x + ln(x/2) I1(x)
-            - (x/4) sum_{k>=0} (H_k + H_{k+1} - 2 gamma) (x^2/4)^k / (k!(k+1)!)
-    """
-    q = 0.25 * x * x
-    term = np.ones_like(x)  # q^k / (k! (k+1)!)
-    i1s = np.ones_like(x)
-    h_k = 0.0
-    h_k1 = 1.0
-    hsum = (h_k + h_k1 - 2.0 * EULER_GAMMA) * term
-    for k in range(1, _SERIES_TERMS + 1):
-        term = term * q / (k * (k + 1))
-        i1s = i1s + term
-        h_k += 1.0 / k
-        h_k1 += 1.0 / (k + 1)
-        hsum = hsum + (h_k + h_k1 - 2.0 * EULER_GAMMA) * term
-    i1 = 0.5 * x * i1s
-    return 1.0 / x + np.log(0.5 * x) * i1 - 0.25 * x * hsum
-
-
-def _cheb(coeffs: tuple[float, ...], s: np.ndarray) -> np.ndarray:
-    """Clenshaw evaluation; c_0 enters with weight 1/2."""
-    b0 = np.zeros_like(s)
-    b1 = np.zeros_like(s)
-    for c in coeffs[:0:-1]:
-        b0, b1 = 2.0 * s * b0 - b1 + c, b0
-    return s * b0 - b1 + 0.5 * coeffs[0]
-
-
-def _k0_scaled_large(x: np.ndarray) -> np.ndarray:
-    """exp(x) K0(x) for x > 2."""
-    return _cheb(_K0_SCALED_CHEB, 4.0 / x - 1.0) / np.sqrt(x)
-
-
-def _k1_scaled_large(x: np.ndarray) -> np.ndarray:
-    """exp(x) K1(x) for x > 2."""
-    return _cheb(_K1_SCALED_CHEB, 4.0 / x - 1.0) / np.sqrt(x)
-
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    small = x <= SERIES_CUTOFF
-    return small, ~small
+    return x
 
 
 def k0_values(x) -> np.ndarray:
     """Vectorised K0; underflows to zero (never overflows) for huge x."""
-    x = np.asarray(x, dtype=float)
-    _validate_positive(x)
-    out = np.empty_like(x)
-    small, large = _split(x)
-    if np.any(small):
-        out[small] = _k0_series_parts(x[small])[0]
-    if np.any(large):
-        xl = x[large]
-        out[large] = np.exp(-xl) * _k0_scaled_large(xl)
-    return out
+    return k0(_validate_positive(x))
 
 
 def k1_values(x) -> np.ndarray:
     """Vectorised K1."""
-    x = np.asarray(x, dtype=float)
-    _validate_positive(x)
-    out = np.empty_like(x)
-    small, large = _split(x)
-    if np.any(small):
-        out[small] = _k1_series(x[small])
-    if np.any(large):
-        xl = x[large]
-        out[large] = np.exp(-xl) * _k1_scaled_large(xl)
-    return out
+    return k1(_validate_positive(x))
 
 
 def log_k0_values(x) -> np.ndarray:
-    """Vectorised ln K0; large x handled without the exp/ln round trip."""
-    x = np.asarray(x, dtype=float)
-    _validate_positive(x)
-    out = np.empty_like(x)
-    small, large = _split(x)
-    if np.any(small):
-        out[small] = np.log(_k0_series_parts(x[small])[0])
-    if np.any(large):
-        xl = x[large]
-        out[large] = -xl + np.log(_cheb(_K0_SCALED_CHEB, 4.0 / xl - 1.0)) - 0.5 * np.log(xl)
-    return out
+    """Vectorised ln K0; finite for large x (no exp/ln round trip)."""
+    x = _validate_positive(x)
+    return np.log(k0e(x)) - x
 
 
 def k_ratio_values(x) -> np.ndarray:
     """Vectorised K0'(x)/K0(x) = -K1(x)/K0(x); the exponential scaling cancels."""
-    x = np.asarray(x, dtype=float)
-    _validate_positive(x)
-    out = np.empty_like(x)
-    small, large = _split(x)
-    if np.any(small):
-        xs = x[small]
-        out[small] = -_k1_series(xs) / _k0_series_parts(xs)[0]
-    if np.any(large):
-        s = 4.0 / x[large] - 1.0
-        out[large] = -_cheb(_K1_SCALED_CHEB, s) / _cheb(_K0_SCALED_CHEB, s)
-    return out
+    x = _validate_positive(x)
+    return -k1e(x) / k0e(x)
 
 
-def _scalar(x) -> np.ndarray:
-    return np.asarray(float(x), dtype=float).reshape(1)
+def _bounded(value) -> EvalResult:
+    # 8 eps relative: Cephes documents a peak relative error of 1.2e-15
+    # (about 5.4 eps) for k0 and k1; against mpmath at 40 digits on 3000
+    # geometric points in [1e-6, 700] the observed maxima are k0 5.1 eps,
+    # k1 3.7 eps, k0e 5.6 eps, k1e 3.4 eps.  5e-324 covers underflow to 0.
+    value = float(value)
+    return EvalResult(value, 8.0 * np.finfo(float).eps * value + 5e-324)
 
 
 def bessel_k0(x: float) -> EvalResult:
-    """K0(x) for x > 0, with an absolute error bound.
-
-    The bound tracks the cancellation of the series branch (the two series
-    parts grow like exp(x) while K0 decays) and plain rounding on the
-    scaled branch.
-    """
-    xv = _scalar(x)
-    _validate_positive(xv)
-    eps = np.finfo(float).eps
-    if xv[0] <= SERIES_CUTOFF:
-        k0, i0, hsum = _k0_series_parts(xv)
-        amplification = abs(np.log(0.5 * xv[0]) + EULER_GAMMA) * i0[0] + hsum[0] + abs(k0[0])
-        return EvalResult(float(k0[0]), 4.0 * eps * amplification, Method.SERIES)
-    value = float(np.exp(-xv[0]) * _k0_scaled_large(xv)[0])
-    return EvalResult(value, 8.0 * eps * value + 5e-324, Method.ASYMPTOTIC)
+    """K0(x) for x > 0, with an absolute error bound."""
+    return _bounded(k0_values(float(x)))
 
 
 def bessel_k1(x: float) -> EvalResult:
     """K1(x) for x > 0, with an absolute error bound."""
-    xv = _scalar(x)
-    _validate_positive(xv)
-    eps = np.finfo(float).eps
-    if xv[0] <= SERIES_CUTOFF:
-        value = float(_k1_series(xv)[0])
-        # the 1/x term dominates the series near zero; amplification is mild
-        amplification = 1.0 / xv[0] + 2.0 * abs(value)
-        return EvalResult(value, 4.0 * eps * amplification, Method.SERIES)
-    value = float(np.exp(-xv[0]) * _k1_scaled_large(xv)[0])
-    return EvalResult(value, 8.0 * eps * value + 5e-324, Method.ASYMPTOTIC)
+    return _bounded(k1_values(float(x)))
 
 
 def log_bessel_k0(x: float) -> float:
     """ln K0(x) for x > 0; finite for all x (no underflow for large x)."""
-    return float(log_k0_values(_scalar(x))[0])
+    return float(log_k0_values(float(x)))
 
 
 def k_ratio(x: float) -> float:
     """K0'(x)/K0(x) = -K1(x)/K0(x); strictly negative, increasing to -1."""
-    return float(k_ratio_values(_scalar(x))[0])
+    return float(k_ratio_values(float(x)))
 
 
 def _cosh_truncation(x: float) -> float:
@@ -316,7 +106,7 @@ def _cosh_truncation(x: float) -> float:
 def bessel_k0_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
     """K0(x) by adaptive quadrature of int_0^inf exp(-x cosh t) dt.
 
-    Independent of the series/Chebyshev branches; intended as a test
+    Independent of the scipy evaluation; intended as a test
     oracle.  ``tol`` is the relative tolerance of the panel subdivision.
     """
     x = float(x)
@@ -326,7 +116,7 @@ def bessel_k0_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
         raise DomainError("tol must be positive")
     tstar = _cosh_truncation(x)
     if tstar == 0.0:
-        return EvalResult(0.0, 5e-324, Method.QUADRATURE)
+        return EvalResult(0.0, 5e-324)
     res = adaptive_quad(
         lambda t: np.exp(-x * np.cosh(t)),
         0.0,
@@ -337,7 +127,7 @@ def bessel_k0_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
     )
     # tail beyond t*: integrand <= exp(-x cosh t*) = exp(-745), i.e. at the
     # double-precision underflow threshold; bound it by one subnormal unit
-    return EvalResult(res.value, res.error + 5e-324, Method.QUADRATURE)
+    return EvalResult(res.value, res.error + 5e-324)
 
 
 def bessel_k1_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
@@ -350,7 +140,7 @@ def bessel_k1_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
     # cosh t* exceeds the plain-K0 cutoff by the cosh factor's magnitude;
     # push the truncation a touch further so the tail stays subnormal
     if x >= _EXP_UNDERFLOW:
-        return EvalResult(0.0, 5e-324, Method.QUADRATURE)
+        return EvalResult(0.0, 5e-324)
     tstar = float(np.arccosh((_EXP_UNDERFLOW + math.log(_EXP_UNDERFLOW / x)) / x))
     res = adaptive_quad(
         lambda t: np.exp(-x * np.cosh(t)) * np.cosh(t),
@@ -360,4 +150,4 @@ def bessel_k1_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
         tol_abs=0.0,
         max_panels=4000,
     )
-    return EvalResult(res.value, res.error + 5e-324, Method.QUADRATURE)
+    return EvalResult(res.value, res.error + 5e-324)

@@ -135,6 +135,9 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--law", "normal", "--cells", "65"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["shape", "--property", "log-convex", "--function", "k0"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

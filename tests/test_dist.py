@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lclab import dist
+from lclab import dist, mc
 from lclab.errors import DomainError, SingularityError
 
 # frozen from the quadrature-oracle run
@@ -44,6 +44,20 @@ def test_laplace_cdf_values():
     f = dist.laplace_cdf(xs)
     assert np.all(np.diff(f) >= 0.0)
     assert f[0] >= 0.0 and f[-1] <= 1.0
+
+
+def test_laplace_cdf_bit_identical_to_two_branch_form():
+    # one exp(-|x|) serves both branches: exp(x) = exp(-|x|) for x <= 0 and
+    # exp(-x) = exp(-|x|) for x > 0, so the two-branch form is reproduced bit
+    # for bit, at the edges and on sampled batches of both generators
+    tiny = np.nextafter(0.0, 1.0)
+    edges = np.array([0.0, -0.0, tiny, -tiny, 800.0, -800.0, np.inf, -np.inf])
+    batches = [mc.sample(g, 101, 100_000).values for g in mc.Generator]
+    for x in [edges, *batches]:
+        two_branch = np.where(
+            x <= 0.0, 0.5 * np.exp(np.minimum(x, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(x, 0.0))
+        )
+        assert np.array_equal(dist.laplace_cdf(x), two_branch)
 
 
 def test_normal_product_cdf():

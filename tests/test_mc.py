@@ -87,10 +87,11 @@ def test_sample_validates_arguments():
 
 
 def test_kolmogorov_thresholds():
-    assert mc.kolmogorov_threshold(0.001) == pytest.approx(1.949, abs=5e-4)
-    assert mc.kolmogorov_threshold(0.01) == pytest.approx(1.628, abs=5e-4)
+    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 1, 100)
+    assert mc.ks_statistic(batch, dist.laplace_cdf, 0.001).threshold == pytest.approx(1.949, abs=5e-4)
+    assert mc.ks_statistic(batch, dist.laplace_cdf, 0.01).threshold == pytest.approx(1.628, abs=5e-4)
     with pytest.raises(ValueError):
-        mc.kolmogorov_threshold(0.0)
+        mc.ks_statistic(batch, dist.laplace_cdf, 0.0)
 
 
 def test_ks_on_exact_quantiles_gives_half_over_n():

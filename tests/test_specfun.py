@@ -40,7 +40,7 @@ def test_k0_near_zero_is_finite_and_large():
     res = sf.bessel_k0(1e-8)
     # log-singularity regime: about -ln(x/2) - gamma
     assert np.isfinite(res.value)
-    assert res.value == pytest.approx(-np.log(0.5e-8) - sf.EULER_GAMMA, rel=1e-9)
+    assert res.value == pytest.approx(-np.log(0.5e-8) - np.euler_gamma, rel=1e-9)
 
 
 def test_k0_huge_argument_underflows_to_zero_without_error():
@@ -63,11 +63,18 @@ def test_oracle_requires_positive_tol():
 
 
 def test_oracle_agrees_with_main_path():
-    for x in np.geomspace(1e-6, 700.0, 40):
+    xs = np.geomspace(1e-6, 700.0, 40)
+    k1 = sf.k1_values(xs)
+    ratio = sf.k_ratio_values(xs)
+    for i, x in enumerate(xs):
         oracle = sf.bessel_k0_quadrature_oracle(x, 1e-14)
+        oracle1 = sf.bessel_k1_quadrature_oracle(x, 1e-14)
         main = sf.bessel_k0(x)
         denom = max(abs(oracle.value), 1e-300)
         assert abs(main.value - oracle.value) / denom <= 1e-12
+        assert abs(k1[i] - oracle1.value) / max(abs(oracle1.value), 1e-300) <= 1e-12
+        oracle_ratio = -oracle1.value / oracle.value
+        assert abs(ratio[i] - oracle_ratio) / abs(oracle_ratio) <= 1e-12
 
 
 def test_oracle_asymptotic_regime():
@@ -150,11 +157,10 @@ def test_derivative_consistency_order_h2(x):
 
 
 def test_branch_seam_discrepancy():
-    # both branches evaluated at the crossover agree to ~1 ulp
-    at = np.array([sf.SERIES_CUTOFF])
-    series = sf._k0_series_parts(at)[0][0]
-    scaled = float(np.exp(-sf.SERIES_CUTOFF) * sf._k0_scaled_large(at)[0])
-    assert abs(series / scaled - 1.0) <= 1e-13
+    # x = 2 is where the evaluator switches from the series to the scaled
+    # expansion; the values one ulp either side agree to ~1 ulp
+    below, above = sf.k0_values(np.array([np.nextafter(2.0, 0.0), np.nextafter(2.0, 4.0)]))
+    assert abs(below / above - 1.0) <= 1e-13
 
 
 def test_eval_result_bounds_nonnegative():
