@@ -70,9 +70,12 @@ def _emit_grid(grid: dist.GridDensity, out: str, fmt: str) -> None:
 
 def _parse_t_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad t-list {text!r}") from None
+        values = []
+    if not values or not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"bad t-list {text!r}: need finite numbers")
+    return values
 
 
 def _at_least(low: int):

@@ -37,7 +37,6 @@ class AnalyticDensity:
     name: str
     pdf: Callable[[np.ndarray], np.ndarray]
     log_pdf: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float] = (-math.inf, math.inf)
     singular_points: tuple[float, ...] = ()
     tail_rate: float = math.inf
 
@@ -352,11 +351,9 @@ def density_mass(density: AnalyticDensity, tol: float = 1e-8) -> float:
         raise DomainError("tol must be positive")
     rate = density.tail_rate
     extent = 40.0 if not math.isfinite(rate) else max(40.0, 50.0 / rate)
-    lo = max(density.support[0], -extent)
-    hi = min(density.support[1], extent)
+    lo, hi = -extent, extent
     pts = [s for s in density.singular_points if lo < s < hi]
-    if lo < 0.0 < hi:
-        pts.append(0.0)
+    pts.append(0.0)
     res = adaptive_quad(
         density.pdf, lo, hi, tol_abs=0.5 * tol, tol_rel=0.0, max_panels=4096, points=pts
     )

@@ -3,9 +3,12 @@
 "Log-concave" is operationalized as midpoint concavity of ln f over node
 triples (x_{k-j}, x_k, x_{k+j}) at stride ladder j = 1, 2, 4, 8, ...; the
 multi-scale strides catch violations wider than one cell, and the midpoint
-form avoids the h^-2 noise amplification of raw second differences.  A
-failed check carries a :class:`Witness` that reproduces the violated
-inequality on re-evaluation.
+form avoids the h^-2 noise amplification of raw second differences.  The
+grid check stores NaN as the log value of every uncertified node, so any
+triple touching one has a NaN violation and is skipped.  A failed check
+carries a :class:`Witness` that reproduces the violated inequality on
+re-evaluation; every check picks it by one rule: the largest violation,
+ties to the smallest |midpoint|, then the smallest midpoint.
 """
 
 from __future__ import annotations
@@ -100,19 +103,24 @@ class ShapeVerdict:
         return out
 
 
-def _better(a: tuple, b: tuple | None) -> bool:
-    """Deterministic witness preference: larger violation, then smaller |m|,
-    then smaller m."""
-    if b is None:
-        return True
-    return (-a[0], a[1], a[2]) < (-b[0], b[1], b[2])
+def _strides(limit: int) -> list[int]:
+    return [1 << p for p in range(limit.bit_length())]
 
 
-def _strides(limit: int):
-    j = 1
-    while j <= limit:
-        yield j
-        j *= 2
+def _witness_key(viol, left, right, tol: float, stride: int, shift: int = 0):
+    """Key ``(-violation, |m|, m, index, stride)`` of one stride's witness.
+
+    ``viol[i]`` (NaN: skipped) belongs to the pair (left[i], right[i]) and
+    is keyed as index ``i + shift``; None unless a violation exceeds
+    ``tol``.  ``min`` over the keys of all strides picks the witness.
+    """
+    vmax = float(np.fmax.reduce(viol))
+    if not vmax > tol:
+        return None
+    idx = np.flatnonzero(viol == vmax)
+    m = 0.5 * (left[idx] + right[idx])
+    best = np.lexsort((m, np.abs(m)))[0]
+    return (-vmax, abs(float(m[best])), float(m[best]), int(idx[best]) + shift, stride)
 
 
 def _certified_nodes(g: GridDensity) -> np.ndarray:
@@ -146,50 +154,43 @@ def check_log_concavity_grid(g: GridDensity, tol: float) -> ShapeVerdict:
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    v = g.values
-    n = v.size
     usable = _certified_nodes(g)
     if int(usable.sum()) < 3:
         raise ValueError("fewer than 3 certified nodes")
-    logv = np.full(n, -np.inf)
-    logv[usable] = np.log(v[usable])
     nodes = g.nodes
-
-    best: tuple | None = None
+    n = nodes.size
+    logv = np.log(g.values, out=np.full(n, np.nan), where=usable)
+    buf = np.empty(n - 2)
+    keys = []
     for j in _strides((n - 1) // 2):
-        ok = usable[j:-j] & usable[: -2 * j] & usable[2 * j :]
-        if not ok.any():
-            continue
-        lhs = logv[j:-j]
-        rhs = 0.5 * (logv[: -2 * j] + logv[2 * j :])
-        with np.errstate(invalid="ignore"):
-            viol = np.where(ok, rhs - lhs, -np.inf)
-        vmax = float(viol.max())
-        if vmax <= tol:
-            continue
-        for idx in np.flatnonzero(viol == vmax):
-            k = int(idx) + j
-            x, y = float(nodes[k - j]), float(nodes[k + j])
-            m = 0.5 * (x + y)
-            cand = (vmax, abs(m), m, k, j)
-            if _better(cand, best):
-                best = cand
-    if g.trusted_half_width is not None:
-        lo, hi = -g.trusted_half_width, g.trusted_half_width
-    else:
-        lo, hi = float(nodes[0]), float(nodes[-1])
+        viol = buf[: n - 2 * j]
+        np.add(logv[: -2 * j], logv[2 * j :], out=viol)
+        np.multiply(viol, 0.5, out=viol)
+        np.subtract(viol, logv[j:-j], out=viol)
+        keys.append(_witness_key(viol, nodes[: -2 * j], nodes[2 * j :], tol, j, shift=j))
+    best = min(filter(None, keys), default=None)
+    hw = g.trusted_half_width
+    domain = (-hw, hw) if hw is not None else (float(nodes[0]), float(nodes[-1]))
     if best is None:
-        return ShapeVerdict(ShapeProperty.LOG_CONCAVE, Outcome.HOLDS, None, tol, (lo, hi))
-    vmax, _, m, k, j = best
+        return ShapeVerdict(ShapeProperty.LOG_CONCAVE, Outcome.HOLDS, None, tol, domain)
+    neg_v, _, m, k, j = best
     witness = Witness(
         x=float(nodes[k - j]),
         y=float(nodes[k + j]),
         midpoint=m,
         lhs=float(logv[k]),
         rhs=float(0.5 * (logv[k - j] + logv[k + j])),
-        violation=vmax,
+        violation=-neg_v,
     )
-    return ShapeVerdict(ShapeProperty.LOG_CONCAVE, Outcome.FAILS, witness, tol, (lo, hi))
+    return ShapeVerdict(ShapeProperty.LOG_CONCAVE, Outcome.FAILS, witness, tol, domain)
+
+
+def _probes(a: float, b: float, n_probes: int) -> np.ndarray:
+    if not (0.0 < a < b):
+        raise ValueError("need 0 < a < b")
+    if n_probes < 3:
+        raise ValueError("need at least 3 probes")
+    return np.geomspace(a, b, n_probes)
 
 
 def _eval_positive(f: Callable, x: np.ndarray, what: str) -> np.ndarray:
@@ -209,43 +210,29 @@ def check_log_convexity_interval(
     For every stride pair (p_{k-j}, p_{k+j}) the arithmetic midpoint is
     evaluated fresh: ln f(m) <= (ln f(x) + ln f(y))/2 + tol.
     """
-    if not (0.0 < a < b):
-        raise ValueError("need 0 < a < b")
-    if n_probes < 3:
-        raise ValueError("need at least 3 probes")
+    probes = _probes(a, b, n_probes)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    probes = np.geomspace(a, b, n_probes)
     logf = np.log(_eval_positive(f, probes, "ladder probes"))
-
-    best: tuple | None = None
+    keys = []
     for j in _strides((n_probes - 1) // 2):
-        x = probes[: -2 * j]
-        y = probes[2 * j :]
-        mid = 0.5 * (x + y)
-        logm = np.log(_eval_positive(f, mid, "pair midpoints"))
+        x, y = probes[: -2 * j], probes[2 * j :]
+        logm = np.log(_eval_positive(f, 0.5 * (x + y), "pair midpoints"))
         viol = logm - 0.5 * (logf[: -2 * j] + logf[2 * j :])
-        vmax = float(viol.max())
-        if vmax <= tol:
-            continue
-        for idx in np.flatnonzero(viol == vmax):
-            i = int(idx)
-            m = float(mid[i])
-            cand = (vmax, abs(m), m, i, j)
-            if _better(cand, best):
-                best = cand
+        keys.append(_witness_key(viol, x, y, tol, j))
+    best = min(filter(None, keys), default=None)
     if best is None:
         return ShapeVerdict(
             ShapeProperty.LOG_CONVEX_ON_INTERVAL, Outcome.HOLDS, None, tol, (a, b)
         )
-    vmax, _, m, i, j = best
+    neg_v, _, m, i, j = best
     witness = Witness(
         x=float(probes[i]),
         y=float(probes[i + 2 * j]),
         midpoint=m,
         lhs=float(np.log(_eval_positive(f, np.array([m]), "witness midpoint"))[0]),
         rhs=float(0.5 * (logf[i] + logf[i + 2 * j])),
-        violation=vmax,
+        violation=-neg_v,
     )
     return ShapeVerdict(
         ShapeProperty.LOG_CONVEX_ON_INTERVAL, Outcome.FAILS, witness, tol, (a, b)
@@ -258,31 +245,20 @@ def check_ratio_monotonicity(a: float, b: float, n_probes: int) -> ShapeVerdict:
     An equivalent reading of log-convexity of K0, used as an independent
     second route (ratio evaluations, no midpoint logs).
     """
-    if not (0.0 < a < b):
-        raise ValueError("need 0 < a < b")
-    if n_probes < 3:
-        raise ValueError("need at least 3 probes")
-    probes = np.geomspace(a, b, n_probes)
+    probes = _probes(a, b, n_probes)
     r = k_ratio_values(probes)
-    diff = np.diff(r)
-    bad = np.flatnonzero(diff <= 0.0)
-    if bad.size == 0:
+    # a drop of exactly 0 fails too: no double lies between -0 and this tol
+    best = _witness_key(r[:-1] - r[1:], probes[:-1], probes[1:], -5e-324, 1)
+    if best is None:
         return ShapeVerdict(ShapeProperty.RATIO_INCREASING, Outcome.HOLDS, None, 0.0, (a, b))
-    best: tuple | None = None
-    for i in bad:
-        i = int(i)
-        m = 0.5 * float(probes[i] + probes[i + 1])
-        cand = (float(-diff[i]), abs(m), m, i)
-        if _better(cand, best):
-            best = cand
-    vmax, _, m, i = best
+    neg_v, _, m, i, _ = best
     witness = Witness(
         x=float(probes[i]),
         y=float(probes[i + 1]),
         midpoint=m,
         lhs=float(r[i + 1]),
         rhs=float(r[i]),
-        violation=vmax,
+        violation=-neg_v,
     )
     return ShapeVerdict(ShapeProperty.RATIO_INCREASING, Outcome.FAILS, witness, 0.0, (a, b))
 

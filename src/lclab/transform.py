@@ -374,24 +374,20 @@ def mgf_via_density(density: AnalyticDensity, t: float, tol: float = 1e-10) -> M
             f"E[exp(tX)] diverges for |t| >= {density.tail_rate} on {density.name!r}"
         )
     extent = _tilted_window(density, t)
-    lo = max(density.support[0], -extent)
-    hi = min(density.support[1], extent)
+    lo, hi = -extent, extent
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return np.exp(t * x + density.log_pdf(x))
 
     pts = [s for s in density.singular_points if lo < s < hi]
-    if lo < 0.0 < hi and 0.0 not in pts:
+    if 0.0 not in pts:
         pts.append(0.0)
     # geometric initial panels: on a very wide window a single panel would
     # hide the O(1)-scale structure from the 15 Kronrod nodes and deceive
     # the error estimate
     scale = 1.0
-    while scale < max(hi, -lo):
-        if lo < scale < hi:
-            pts.append(scale)
-        if lo < -scale < hi:
-            pts.append(-scale)
+    while scale < hi:
+        pts += [scale, -scale]
         scale *= 2.0
     res = adaptive_quad(
         integrand,

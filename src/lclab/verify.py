@@ -29,6 +29,7 @@ _CONVEXITY_PROBES = 2048
 _CONVEXITY_TOL = 1e-10
 _RATIO_INTERVAL = (0.1, 20.0)
 _RATIO_PROBES = 512
+_MC_ALPHA = 0.001
 
 
 @dataclass(frozen=True)
@@ -165,11 +166,12 @@ def _shape_step(
     return StepResult("shape-verdicts", passed, metrics)
 
 
-def _monte_carlo_step(seeds, n: int, alpha: float) -> StepResult:
+def _monte_carlo_step(n: int) -> StepResult:
+    seeds = mc.GOLDEN_SEEDS
     good = mc.ks_over_seeds(
-        mc.Generator.PRODUCT_SELF_DIFFERENCE, seeds, n, dist.laplace_cdf, alpha
+        mc.Generator.PRODUCT_SELF_DIFFERENCE, seeds, n, dist.laplace_cdf, _MC_ALPHA
     )
-    bad = mc.ks_over_seeds(mc.Generator.NORMAL_PRODUCT, seeds, n, dist.laplace_cdf, alpha)
+    bad = mc.ks_over_seeds(mc.Generator.NORMAL_PRODUCT, seeds, n, dist.laplace_cdf, _MC_ALPHA)
     n_pass = sum(r.passed for r in good)
     n_bad_fail = sum(not r.passed for r in bad)
     passed = n_pass >= len(seeds) - 1 and n_bad_fail == len(seeds)
@@ -182,7 +184,7 @@ def _monte_carlo_step(seeds, n: int, alpha: float) -> StepResult:
             "max_scaled_statistic": max(r.scaled for r in good),
             "product_law_ks_failures": float(n_bad_fail),
             "min_product_scaled_statistic": min(r.scaled for r in bad),
-            "alpha": alpha,
+            "alpha": _MC_ALPHA,
             "threshold": good[0].threshold,
             "n": float(n),
         },
@@ -195,9 +197,7 @@ def run_verification(
     tol_shape: float = 1e-9,
     tol_mgf: float = 1e-8,
     with_mc: bool = False,
-    seeds=mc.GOLDEN_SEEDS,
     mc_n: int = 10**6,
-    mc_alpha: float = 0.001,
 ) -> VerificationReport:
     """Run the full pipeline and collect one report."""
     product_grid = dist.discretize(dist.normal_product(), half_width, n_cells)
@@ -213,11 +213,11 @@ def run_verification(
         _shape_step(product_grid, diff, laplace_grid, tol_shape),
     ]
     if with_mc:
-        steps.append(_monte_carlo_step(tuple(seeds), mc_n, mc_alpha))
+        steps.append(_monte_carlo_step(mc_n))
 
     # deterministic table fingerprint (hash() of ints varies across builds)
     table_id = 0
-    for i, s in enumerate(seeds):
+    for i, s in enumerate(mc.GOLDEN_SEEDS):
         table_id = (table_id * 1000003 + int(s) * (i + 1)) % 10**9
     parameters = {
         "half_width": half_width,

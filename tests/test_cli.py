@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +157,9 @@ def test_usage_errors_exit_2(capsys):
         ["shape", "--property", "log-convex", "--interval", "5,1"],
         ["shape", "--property", "ratio-monotone", "--interval", "0.1,2,3"],
         ["shape", "--property", "log-convex", "--interval", "0,30"],
+        ["mgf", "--t", "nan"],
+        ["mgf", "--t", "inf"],
+        ["mgf", "--t", ","],
     ],
 )
 def test_invalid_numeric_values_exit_2(argv, capsys):
@@ -215,3 +220,13 @@ def test_verify_theorem_tolerance_abuse_fails_shape_step(capsys):
     code, stdout, _ = run_cli(capsys, "verify-theorem", "--tol-shape", "1e-20")
     assert code == 1
     assert "[FAIL] shape-verdicts" in stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds ~0.7 s to every CLI start; lclab needs scipy.special only
+    code = "import sys, lclab, lclab.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +129,82 @@ def test_ratio_check_detects_decrease():
     verdict = shape.check_ratio_monotonicity  # degenerate interval rejected
     with pytest.raises(ValueError):
         verdict(1.0, 1.0, 16)
+
+
+def test_ratio_check_fails_with_tie_broken_by_smallest_midpoint(monkeypatch):
+    # drops r[i] - r[i+1] of 0.5 at the pairs (p1, p2) and (p3, p4)
+    monkeypatch.setattr(
+        shape, "k_ratio_values", lambda p: np.array([0.0, 1.0, 0.5, 1.5, 1.0])
+    )
+    verdict = shape.check_ratio_monotonicity(1.0, 16.0, 5)
+    assert verdict.outcome is Outcome.FAILS
+    assert verdict.tolerance == 0.0
+    probes = np.geomspace(1.0, 16.0, 5)
+    w = verdict.witness
+    assert (w.x, w.y) == (probes[1], probes[2])
+    assert w.midpoint == 0.5 * (probes[1] + probes[2])
+    assert (w.lhs, w.rhs, w.violation) == (0.5, 1.0, 0.5)
+
+
+def test_grid_witness_tie_prefers_negative_midpoint_then_smallest_stride():
+    # mirror-symmetric dents at x = -1.5 and x = 1.5 (h = 1): every stride
+    # reaching a dent from flat neighbours sees the same violation ln 2
+    g = dist.GridDensity(4.0, np.array([1.0, 1.0, 0.5, 1.0, 1.0, 0.5, 1.0, 1.0]))
+    verdict = shape.check_log_concavity_grid(g, 1e-9)
+    assert verdict.outcome is Outcome.FAILS
+    w = verdict.witness
+    assert (w.x, w.y, w.midpoint) == (-2.5, -0.5, -1.5)
+    assert (w.lhs, w.rhs) == (-math.log(2.0), 0.0)
+    assert w.violation == math.log(2.0)
+
+
+def _reference_witness_key(g, tol):
+    # per-triple loop over every stride: the rule the vectorised check follows
+    usable = shape._certified_nodes(g)
+    logv = np.log(np.where(usable, g.values, 1.0))
+    nodes = g.nodes
+    n = nodes.size
+    keys = []
+    j = 1
+    while j <= (n - 1) // 2:
+        for k in range(j, n - j):
+            if usable[k - j] and usable[k] and usable[k + j]:
+                v = float(0.5 * (logv[k - j] + logv[k + j]) - logv[k])
+                m = 0.5 * (float(nodes[k - j]) + float(nodes[k + j]))
+                if v > tol:
+                    keys.append((-v, abs(m), m, k, j))
+        j *= 2
+    return min(keys, default=None)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_grid_witness_matches_per_triple_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([8, 16, 30, 64]))
+    values = rng.choice([0.0, 0.5, 1.0, 2.0], n) if seed % 2 else rng.random(n)
+    if seed % 4 == 3:
+        values[n // 2 :] = values[: n // 2][::-1]
+    g = dist.GridDensity(3.0, values)
+    verdict = shape.check_log_concavity_grid(g, 1e-9)
+    key = _reference_witness_key(g, 1e-9)
+    assert verdict.holds == (key is None)
+    if key is not None:
+        neg_v, _, m, k, j = key
+        w = verdict.witness
+        assert (w.x, w.y) == (g.nodes[k - j], g.nodes[k + j])
+        assert (w.midpoint, w.violation) == (m, -neg_v)
+
+
+def test_grid_check_memory_is_about_three_value_arrays():
+    diff = transform.self_difference(dist.discretize(dist.normal_product(), 12.0, 2**18))
+    tracemalloc.start()
+    try:
+        verdict = shape.check_log_concavity_grid(diff, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds
+    assert peak <= 3.5 * diff.values.nbytes
 
 
 def test_interval_check_argument_validation():
