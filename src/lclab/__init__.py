@@ -59,7 +59,6 @@ from .transform import (
     mgf_via_conditioning,
     mgf_via_density,
     self_difference,
-    self_sum,
 )
 from .verify import VerificationReport, run_verification
 
@@ -112,6 +111,5 @@ __all__ = [
     "run_verification",
     "sample",
     "self_difference",
-    "self_sum",
     "standard_normal",
 ]

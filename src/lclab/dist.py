@@ -189,6 +189,9 @@ class GridDensity:
         values = np.ascontiguousarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "singular_points", tuple(float(s) for s in self.singular_points))
+        object.__setattr__(self, "half_width", float(self.half_width))
+        if self.trusted_half_width is not None:
+            object.__setattr__(self, "trusted_half_width", float(self.trusted_half_width))
         if values.ndim != 1 or values.size < 2 or values.size % 2:
             raise ValueError("values must be a 1-D array of even length >= 2")
         if not self.half_width > 0.0:

@@ -117,17 +117,6 @@ def _uniforms_into(
     np.multiply(out, 2.0**-53, out=out)
 
 
-def uniform_stream(key: int, start: int, count: int) -> np.ndarray:
-    """Uniforms in (0, 1) at counter positions start..start+count-1."""
-    out = np.empty(count)
-    steps = _counter_steps(count)
-    bits = np.empty_like(steps)
-    for a in range(0, count, _BLOCK):
-        m = min(_BLOCK, count - a)
-        _uniforms_into(key, start + a, steps[:m], bits[:m], out[a : a + m])
-    return out
-
-
 def _stream_key(generator: Generator, seed: int) -> int:
     z = np.array([seed % (1 << 64)], dtype=np.uint64) ^ _STREAM_TAG[generator.value]
     _mix64_into(z, np.empty_like(z))
@@ -160,8 +149,8 @@ def _values_for_range(generator: Generator, key: int, lo: int, out: np.ndarray) 
             np.subtract(dst, z[:, 2], out=dst)
 
 
-def sample(generator: Generator, seed: int, n: int, *, n_chunks: int = 1) -> SampleBatch:
-    """Draw n values; chunked generation reproduces the single-pass stream.
+def sample(generator: Generator, seed: int, n: int) -> SampleBatch:
+    """Draw n values.
 
     ``normal-product`` multiplies two independent standard normals per
     value; ``product-self-difference`` draws four and returns
@@ -169,15 +158,9 @@ def sample(generator: Generator, seed: int, n: int, *, n_chunks: int = 1) -> Sam
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 1 <= n_chunks <= n:
-        raise ValueError("n_chunks must be in [1, n]")
     generator = Generator(generator)
-    key = _stream_key(generator, seed)
     values = np.empty(n)
-    bounds = np.linspace(0, n, n_chunks + 1, dtype=int)
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > lo:
-            _values_for_range(generator, key, int(lo), values[lo:hi])
+    _values_for_range(generator, _stream_key(generator, seed), 0, values)
     return SampleBatch(generator, int(seed), int(n), values)
 
 

@@ -96,11 +96,31 @@ def k_ratio(x: float) -> float:
     return float(k_ratio_values(float(x)))
 
 
-def _cosh_truncation(x: float) -> float:
-    """t* with x cosh(t*) at the exp underflow bound; integrand is 0 beyond."""
+def _k_oracle(x: float, order: int, tol: float) -> EvalResult:
+    """K0 (order 0) or K1 (order 1) of x by adaptive quadrature.
+
+    K_order(x) = int_0^inf exp(-x cosh t) cosh(order t) dt; the integrand
+    is truncated at t* = arccosh((745 + order ln(745/x)) / x), where it
+    falls to the exp underflow bound (the cosh factor pushes t* a touch
+    further for order 1), so the tail beyond is below one subnormal unit.
+    """
+    x = float(x)
+    if not x > 0.0:
+        raise DomainError("oracle requires x > 0")
+    if not tol > 0.0:
+        raise DomainError("tol must be positive")
     if x >= _EXP_UNDERFLOW:
-        return 0.0
-    return float(np.arccosh(_EXP_UNDERFLOW / x))
+        return EvalResult(0.0, 5e-324)
+    shift = math.log(_EXP_UNDERFLOW / x) if order else 0.0
+    tstar = float(np.arccosh((_EXP_UNDERFLOW + shift) / x))
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        c = np.cosh(t)
+        v = np.exp(-x * c)
+        return v * c if order else v
+
+    res = adaptive_quad(integrand, 0.0, tstar, tol_rel=tol, tol_abs=0.0, max_panels=4000)
+    return EvalResult(res.value, res.error + 5e-324)
 
 
 def bessel_k0_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
@@ -109,45 +129,9 @@ def bessel_k0_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
     Independent of the scipy evaluation; intended as a test
     oracle.  ``tol`` is the relative tolerance of the panel subdivision.
     """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError("oracle requires x > 0")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
-    tstar = _cosh_truncation(x)
-    if tstar == 0.0:
-        return EvalResult(0.0, 5e-324)
-    res = adaptive_quad(
-        lambda t: np.exp(-x * np.cosh(t)),
-        0.0,
-        tstar,
-        tol_rel=tol,
-        tol_abs=0.0,
-        max_panels=4000,
-    )
-    # tail beyond t*: integrand <= exp(-x cosh t*) = exp(-745), i.e. at the
-    # double-precision underflow threshold; bound it by one subnormal unit
-    return EvalResult(res.value, res.error + 5e-324)
+    return _k_oracle(x, 0, tol)
 
 
 def bessel_k1_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
     """K1(x) by adaptive quadrature of int_0^inf exp(-x cosh t) cosh t dt."""
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError("oracle requires x > 0")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
-    # cosh t* exceeds the plain-K0 cutoff by the cosh factor's magnitude;
-    # push the truncation a touch further so the tail stays subnormal
-    if x >= _EXP_UNDERFLOW:
-        return EvalResult(0.0, 5e-324)
-    tstar = float(np.arccosh((_EXP_UNDERFLOW + math.log(_EXP_UNDERFLOW / x)) / x))
-    res = adaptive_quad(
-        lambda t: np.exp(-x * np.cosh(t)) * np.cosh(t),
-        0.0,
-        tstar,
-        tol_rel=tol,
-        tol_abs=0.0,
-        max_panels=4000,
-    )
-    return EvalResult(res.value, res.error + 5e-324)
+    return _k_oracle(x, 1, tol)

@@ -8,19 +8,19 @@ multiples, so correlation values are assigned half-and-half to the two
 adjacent output cells (exact for the mass, second-order for the density,
 and it preserves log-concavity of the correlation sequence).
 
-Correlation and convolution sums of the nonnegative grid values are
-computed by exponentially tilted FFTs (Wilson & Keich, "Accurate pairwise
+The correlation sums of the nonnegative grid values are computed by
+exponentially tilted FFTs (Wilson & Keich, "Accurate pairwise
 convolutions of non-negative vectors via FFT", Comput. Stat. Data Anal.
 2016; Keich, sFFT, J. Comput. Biol. 2005).  A plain FFT has an absolute
-round-off error at the scale of the largest entries, which swamps the far
-tails that the log-scale shape checks read.  Tilting both factors by
-2^(phi i) moves the mass of the products contributing to one output entry
-to the top of the tilted vectors, where the FFT is relatively accurate,
-and the tilt is undone exactly afterwards.  Every entry gets a relative
-error bound from the FFT's absolute bound (see ``_FFT_ERROR_BOUND``); each
-keeps the value of its best tilt, and the few end entries that no tilt
-brings under ``_REL_TARGET`` -- sums of a handful of products of the
-vectors' end blocks -- are summed directly.
+round-off error at the scale of the largest sums, which swamps the far
+tails that the log-scale shape checks read.  Tilting the values and their
+reverse by 2^(phi i) moves the mass of the products contributing to one
+lag to the top of the tilted vectors, where the FFT is relatively
+accurate, and the tilt is undone exactly afterwards.  Every sum gets a
+relative error bound from the FFT's absolute bound (see
+``_FFT_ERROR_BOUND``); each keeps the value of its best tilt, and the few
+largest lags that no tilt brings under ``_REL_TARGET`` -- sums of a
+handful of products of the values' end blocks -- are summed directly.
 
 MGFs are evaluated by two independent numeric routes so the Bessel-backed
 density code is never certified by itself: direct exp-tilted quadrature of
@@ -40,9 +40,9 @@ from .dist import AnalyticDensity, GridDensity
 from .errors import DivergenceError, DomainError, NotNormalizedError
 from .quadrature import adaptive_quad
 
-#: Relative accuracy every FFT correlation or convolution entry is brought
-#: to (entries below the normal double range, 2^-1022, to this fraction of
-#: 2^-1022 in absolute terms).
+#: Relative accuracy every FFT correlation sum is brought to (sums below
+#: the normal double range, 2^-1022, to this fraction of 2^-1022 in
+#: absolute terms).
 _REL_TARGET = 1e-13
 
 #: The FFT's entrywise absolute error bound is taken as
@@ -164,51 +164,52 @@ def _tilted(x: np.ndarray, phi: float) -> tuple[np.ndarray, int, int]:
     return np.ldexp(t, q.astype(np.int32), out=t), j, e
 
 
-def _tilted_convolution(x: np.ndarray, y: np.ndarray, lo: int) -> np.ndarray:
-    """``sum_i x[i] y[k-i]`` for k = lo .. nx+ny-2 of positive-ended x, y.
+def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
+    """``sum_i v[i] v[i+d]`` for lags d = 0..n-1 of a positive-ended v.
 
-    The first tilt is 0 (the plain FFT).  Each further tilt is the saddle
-    tilt of the first entry not yet at ``_REL_TARGET`` on the side of the
-    peak with more such entries, until the entries left on each side form
-    an end block whose direct sum costs no more than one tilt's FFT work
-    (r^2 <= m log2 m), or the last tilt on that side saved less direct work
-    than that; so every further tilt saves more direct work than its FFTs.
-    The end blocks are summed directly: entries k >= size - r involve only
-    the last r entries of x and of y, entries below lo + r only the first.
+    Lag d is entry n-1+d of the convolution of v with its reverse w, so
+    each tilt transforms both (one spectrum serves both when v is even).
+    The first tilt is 0 (the plain FFT).  Lag 0, ||v||^2, is the largest
+    sum (Cauchy-Schwarz), so each further tilt is the saddle tilt of the
+    first lag not yet at ``_REL_TARGET``, until the lags left form an end
+    block whose direct sum costs no more than one tilt's FFT work
+    (r^2 <= m log2 m), or the last tilt saved less direct work than that;
+    so every further tilt saves more direct work than its FFTs.  The last
+    r lags involve only v[:r] and v[n-r:] and are summed directly.
 
     An entry's relative error bound is the FFT bound over the tilted entry;
     an entry whose absolute bound falls below ``_REL_TARGET`` times the
     smallest normal double counts as accurate whatever its value.
     Undoing the tilt is exact for results below about 2^1014.
     """
-    same = np.array_equal(x, y)
-    size = x.size + y.size - 1
+    n = v.size
+    w = v[::-1]
+    even = np.array_equal(v, w)
+    size = 2 * n - 1
     m = max(1 << (size - 1).bit_length(), 2)
     budget = m * math.log2(m)
-    out = np.zeros(size - lo)
-    quality = np.zeros(size - lo, dtype=np.float32)  # entry / its error bound
+    out = np.zeros(n)
+    quality = np.zeros(n, dtype=np.float32)  # entry / its error bound
     wanted = 1.0 / _REL_TARGET
-    phi, peak, side = 0.0, None, None
-    blocks = [0, 0]  # entries left below / from the peak
-    growing = [True, True]
+    phi, r = 0.0, None
     while True:
-        a, ja, ea = _tilted(x, phi)
+        a, ja, ea = _tilted(v, phi)
         norm_a = math.sqrt(float(a @ a))
         spec = np.fft.rfft(a, m)
         del a
-        if same:
+        if even:
             jb, eb, norm_b = ja, ea, norm_a
             spec *= spec
         else:
-            b, jb, eb = _tilted(y, phi)
+            b, jb, eb = _tilted(w, phi)
             norm_b = math.sqrt(float(b @ b))
             spec *= np.fft.rfft(b, m)
             del b
-        conv = np.fft.irfft(spec, m)[lo:size]
+        conv = np.fft.irfft(spec, m)[n - 1 : size]
         del spec
         bound = _FFT_ERROR_BOUND * _EPS * math.log2(m) * norm_a * norm_b
-        # undo the tilt: entry k is conv[k] * 2^(phi (ja + jb - k) + ea + eb)
-        scale = np.arange(ja + jb - lo, ja + jb - size, -1, dtype=float)
+        # undo the tilt: lag d is conv[d] * 2^(phi (ja + jb - n + 1 - d) + ea + eb)
+        scale = np.arange(ja + jb - n + 1, ja + jb - size, -1, dtype=float)
         scale *= phi
         scale += ea + eb
         subnormal = scale <= math.log2(_REL_TARGET * _TINY / bound)
@@ -222,62 +223,34 @@ def _tilted_convolution(x: np.ndarray, y: np.ndarray, lo: int) -> np.ndarray:
         np.copyto(out, scale, where=better)
         np.copyto(quality, conv, where=better)
         del scale, conv, better
-        if peak is None:
-            peak = int(np.argmax(out))
         bad = quality < wanted
-        low, high = bad[:peak][::-1], bad[peak:]
-        left = [
-            peak - int(np.argmax(low)) if low.any() else 0,
-            high.size - int(np.argmax(high)) if high.any() else 0,
-        ]
-        del bad, low, high
-        if side is not None:
-            growing[side] = blocks[side] ** 2 - left[side] ** 2 > budget
-        blocks = left
-        todo = [s for s in (0, 1) if growing[s] and blocks[s] ** 2 > budget]
-        if not todo:
+        last, r = r, (n - int(np.argmax(bad)) if bad.any() else 0)
+        del bad
+        if r * r <= budget or (last is not None and last * last - r * r <= budget):
             break
-        side = max(todo, key=lambda s: blocks[s])
-        target = lo + (blocks[0] - 1 if side == 0 else out.size - blocks[1])
-        phi = _saddle_tilt(x, None if same else y, target, phi)
-    if blocks[1]:
-        r = blocks[1]
-        tail = np.convolve(x[max(size - r - y.size + 1, 0) :], y[max(size - r - x.size + 1, 0) :])
-        out[out.size - r :] = tail[tail.size - r :]
-    if blocks[0]:
-        r = lo + blocks[0]
-        out[: blocks[0]] = np.convolve(x[:r], y[:r])[lo:r]
-    return out
-
-
-def _nonneg_convolution(x: np.ndarray, y: np.ndarray, lo: int) -> np.ndarray:
-    """``sum_i x[i] y[k-i]`` for k = lo .. nx+ny-2, each entry to ``_REL_TARGET``.
-
-    Leading and trailing zeros are cut first: they contribute only exact
-    zeros, and the tilts need both vectors to end in positive values.
-    """
-    size = x.size + y.size - 1
-    nz_x, nz_y = np.flatnonzero(x), np.flatnonzero(y)
-    if nz_x.size == 0 or nz_y.size == 0:
-        return np.zeros(size - lo)
-    x0, x1, y0, y1 = int(nz_x[0]), int(nz_x[-1]) + 1, int(nz_y[0]), int(nz_y[-1]) + 1
-    del nz_x, nz_y
-    first = max(lo - x0 - y0, 0)
-    part = _tilted_convolution(x[x0:x1], y[y0:y1], first)
-    if part.size == size - lo:
-        return part
-    out = np.zeros(size - lo)
-    start = first + x0 + y0 - lo
-    out[start : start + part.size] = part
+        phi = _saddle_tilt(v, None if even else w, size - r, phi)
+    if r:
+        out[n - r :] = np.convolve(v[n - r :], w[n - r :])[r - 1 :]
     return out
 
 
 def _correlation_sums(v: np.ndarray, use_fft: bool) -> np.ndarray:
-    """S_d = sum_i v[i] v[i+d] for lags d = 0..n-1 (S is even in d)."""
+    """S_d = sum_i v[i] v[i+d] for lags d = 0..n-1 (S is even in d).
+
+    The FFT route cuts leading and trailing zeros first: they contribute
+    only exact zeros, and the tilts need v to end in positive values.
+    """
     n = v.size
     if not use_fft:
         return np.correlate(v, v, mode="full")[n - 1 :]
-    return _nonneg_convolution(v, v[::-1], n - 1)
+    nz = np.flatnonzero(v)
+    lo, hi = int(nz[0]), int(nz[-1]) + 1
+    del nz
+    if hi - lo == n:
+        return _tilted_autocorrelation(v)
+    out = np.zeros(n)
+    out[: hi - lo] = _tilted_autocorrelation(v[lo:hi])
+    return out
 
 
 def _check_normalized(g: GridDensity) -> None:
@@ -287,16 +260,16 @@ def _check_normalized(g: GridDensity) -> None:
         )
 
 
-def _derived_metadata(g: GridDensity, combine) -> tuple[tuple[float, ...], float]:
+def _derived_metadata(g: GridDensity) -> tuple[tuple[float, ...], float]:
     """Singular-point images and trusted window of a correlation output.
 
     The output is faithful only where the correlation window still covers
     the input's support, i.e. inside the input half-width (its own trusted
-    window, if narrower).  Pairwise ``combine``-images of input singular
-    points mark where singular-cell products dominate entries.
+    window, if narrower).  Pairwise differences of input singular points
+    mark where singular-cell products dominate entries.
     """
     trusted = g.trusted_half_width if g.trusted_half_width is not None else g.half_width
-    images = sorted({combine(a, b) for a in g.singular_points for b in g.singular_points})
+    images = sorted({a - b for a in g.singular_points for b in g.singular_points})
     return tuple(images), trusted
 
 
@@ -319,24 +292,7 @@ def self_difference(g: GridDensity, *, use_fft: bool = True) -> GridDensity:
     right *= 0.5 * g.step
     np.maximum(right, 0.0, out=right)
     values[:n] = right[::-1]
-    singular, trusted = _derived_metadata(g, lambda a, b: a - b)
-    return GridDensity(
-        2.0 * g.half_width, values, singular_points=singular, trusted_half_width=trusted
-    ).normalized()
-
-
-def self_sum(g: GridDensity, *, use_fft: bool = True) -> GridDensity:
-    """Density of X + X' (self-convolution), on the same output grid."""
-    _check_normalized(g)
-    v = g.values
-    sums = _nonneg_convolution(v, v, 0) if use_fft else np.convolve(v, v, mode="full")
-    # each sum sits on the boundary between two output cells, shared equally
-    values = np.empty(2 * v.size)
-    values[0], values[-1] = sums[0], sums[-1]
-    np.add(sums[:-1], sums[1:], out=values[1:-1])
-    values *= 0.5 * g.step
-    np.maximum(values, 0.0, out=values)
-    singular, trusted = _derived_metadata(g, lambda a, b: a + b)
+    singular, trusted = _derived_metadata(g)
     return GridDensity(
         2.0 * g.half_width, values, singular_points=singular, trusted_half_width=trusted
     ).normalized()

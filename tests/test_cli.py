@@ -61,6 +61,14 @@ def test_selfdiff_from_file_and_shape_pipe(tmp_path, capsys):
     assert verdict["property"] == "log-concave"
 
 
+def test_selfdiff_of_massless_grid_exits_1(tmp_path, capsys):
+    grid_path = tmp_path / "zero.csv"
+    grid_path.write_text(dist.GridDensity(4.0, np.zeros(8)).to_csv())
+    code, _, err = run_cli(capsys, "selfdiff", "--in", str(grid_path))
+    assert code == 1
+    assert err.startswith("error: grid mass 0.0 differs from 1")
+
+
 def test_shape_on_raw_product_grid_fails(tmp_path, capsys):
     grid_path = tmp_path / "prod.csv"
     run_cli(capsys, "density", "--law", "normal-product", "--out", str(grid_path))

@@ -55,10 +55,10 @@ def test_generators_are_domain_separated():
     st.integers(min_value=0, max_value=2**63 - 1),
 )
 def test_chunked_generation_matches_single_pass(n, k, seed):
-    k = min(k, n)
+    # k > n leaves some pieces empty
     single = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, seed, n)
-    chunked = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, seed, n, n_chunks=k)
-    assert np.array_equal(single.values, chunked.values)
+    chunked = _values_in_pieces(Generator.PRODUCT_SELF_DIFFERENCE, seed, n, k)
+    assert np.array_equal(single.values, chunked)
 
 
 def test_values_finite():
@@ -82,8 +82,6 @@ def test_product_second_moment_within_4_sigma():
 def test_sample_validates_arguments():
     with pytest.raises(ValueError):
         mc.sample(Generator.NORMAL_PRODUCT, 1, 0)
-    with pytest.raises(ValueError):
-        mc.sample(Generator.NORMAL_PRODUCT, 1, 10, n_chunks=11)
 
 
 def test_kolmogorov_thresholds():
@@ -156,12 +154,6 @@ def test_ks_report_dict_keys():
     assert payload["threshold"] == pytest.approx(1.628, abs=5e-4)
 
 
-def test_uniform_stream_range_and_determinism():
-    u = mc.uniform_stream(123, 0, 10_000)
-    assert np.all((u > 0.0) & (u < 1.0))
-    assert np.array_equal(u[5000:], mc.uniform_stream(123, 5000, 5000))
-
-
 def _reference_uniforms(key, start, count):
     # the counter definition as one full-array expression
     idx = np.arange(start, start + count, dtype=np.uint64)
@@ -179,6 +171,16 @@ def _reference_values(generator, seed, n):
     if generator is Generator.NORMAL_PRODUCT:
         return z[:, 0] * z[:, 1]
     return z[:, 0] * z[:, 1] - z[:, 2] * z[:, 3]
+
+
+def _values_in_pieces(generator, seed, n, k):
+    # values 0..n-1 written by _values_for_range in k contiguous pieces
+    out = np.empty(n)
+    key = mc._stream_key(generator, seed)
+    bounds = np.linspace(0, n, k + 1, dtype=int)
+    for lo, hi in zip(bounds, bounds[1:]):
+        mc._values_for_range(generator, key, int(lo), out[lo:hi])
+    return out
 
 
 def _block_sizes(generator):
@@ -199,15 +201,7 @@ def test_blocked_sampler_matches_reference_at_chunk_offsets(generator):
     n = _block_sizes(generator)[-1]
     expected = _reference_values(generator, 7, n)
     for k in (2, 3, 5):
-        assert np.array_equal(mc.sample(generator, 7, n, n_chunks=k).values, expected)
-
-
-def test_uniform_stream_across_block_boundary_matches_reference():
-    start = mc._BLOCK - 5
-    count = 2 * mc._BLOCK + 11
-    assert np.array_equal(
-        mc.uniform_stream(99, start, count), _reference_uniforms(99, start, count)
-    )
+        assert np.array_equal(_values_in_pieces(generator, 7, n, k), expected)
 
 
 def test_sample_memory_is_output_plus_block_buffers():

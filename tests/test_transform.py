@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lclab import dist, shape, transform
 from lclab.errors import DivergenceError, DomainError, NonConvergenceError, NotNormalizedError
@@ -58,13 +60,6 @@ def test_selfdiff_even_for_asymmetric_input():
     g = dist.GridDensity(4.0, values).normalized()
     sd = transform.self_difference(g)
     assert np.max(np.abs(sd.values - sd.values[::-1])) <= 1e-12
-    ss = transform.self_sum(g)
-    assert np.max(np.abs(ss.values - ss.values[::-1])) > 1e-6  # sum keeps the skew
-
-
-def test_selfdiff_equals_selfsum_for_even_input(product_selfdiff, product_grid):
-    ss = transform.self_sum(product_grid)
-    assert np.max(np.abs(ss.values - product_selfdiff.values)) <= 1e-12
 
 
 def test_fft_matches_direct_correlation():
@@ -107,14 +102,43 @@ def test_fft_correlation_accurate_into_subnormal_tails():
 
 
 @pytest.mark.parametrize("cells", [64, 1000, 4096, 2**14])
-def test_fft_self_sum_relative_accuracy_on_asymmetric_input(cells):
+def test_fft_selfdiff_relative_accuracy_on_skewed_input(cells):
+    # a skewed grid takes the two-spectrum path (values and their reverse)
     rng = np.random.default_rng(cells)
-    values = rng.uniform(0.05, 1.0, cells) * np.exp(-np.linspace(0.0, 30.0, cells))
+    values = rng.uniform(0.05, 1.0, cells) * np.exp(-np.linspace(0.0, 60.0, cells))
     g = dist.GridDensity(4.0, values).normalized()
-    fft = transform.self_sum(g, use_fft=True)
-    direct = transform.self_sum(g, use_fft=False)
+    fft = transform.self_difference(g, use_fft=True)
+    direct = transform.self_difference(g, use_fft=False)
     _assert_relative(fft.values, direct.values, 1e-12)
     assert fft.values[-1] < 1e-20 * fft.values.max()  # a tail the plain FFT loses
+
+
+def _log_concave_grid(seed: int, cells: int) -> dist.GridDensity:
+    # ln v is the cumulative sum of nonincreasing slopes, clipped at -700
+    rng = np.random.default_rng(seed)
+    spread = 10.0 ** rng.uniform(-3.0, 0.0)
+    slopes = np.sort(rng.normal(rng.uniform(-1.0, 1.0) * spread, spread, cells))[::-1]
+    logv = np.cumsum(slopes)
+    logv -= logv.max()
+    return dist.GridDensity(4.0, np.exp(np.maximum(logv, -700.0))).normalized()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=32, max_value=2048), st.integers(min_value=0, max_value=2**32))
+def test_selfdiff_properties_on_random_log_concave_grids(half_cells, seed):
+    g = _log_concave_grid(seed, 2 * half_cells)
+    sd = transform.self_difference(g)
+    assert sd.mass == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(sd.values, sd.values[::-1])
+    # the lag-d sum sits at d h, split evenly over the cells at (d -+ 1/2) h
+    p = g.values * g.step
+    x = g.nodes - float(p @ g.nodes)
+    var_g = float(p @ x**2)
+    var_sd = float((sd.values * sd.step) @ sd.nodes**2)
+    assert var_sd == pytest.approx(2.0 * var_g + g.step**2 / 4.0, rel=1e-12)
+    # discrete Prekopa (Hoggar 1974): the correlation of a log-concave
+    # sequence is log-concave
+    assert shape.check_log_concavity_grid(sd, 1e-11).holds
 
 
 def test_product_selfdiff_log_concave_far_into_the_tail():
