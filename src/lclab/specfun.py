@@ -26,6 +26,11 @@ from .quadrature import adaptive_quad
 # integrands/results beyond that are truncated or flushed to zero.
 _EXP_UNDERFLOW = 745.0
 
+# Smallest x the quadrature oracles accept: the truncation point has
+# cosh(t*) ~ 745/x, which overflows near x ~ 4e-306, so the oracles stop
+# at a round floor with margin (there K0 ~ 690.9 and K1 ~ 1/x are finite).
+_ORACLE_MIN_X = 1e-300
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -103,10 +108,14 @@ def _k_oracle(x: float, order: int, tol: float) -> EvalResult:
     is truncated at t* = arccosh((745 + order ln(745/x)) / x), where it
     falls to the exp underflow bound (the cosh factor pushes t* a touch
     further for order 1), so the tail beyond is below one subnormal unit.
+    Below ``_ORACLE_MIN_X`` the truncation point is not representable and
+    the oracle raises DomainError.
     """
     x = float(x)
     if not x > 0.0:
         raise DomainError("oracle requires x > 0")
+    if x < _ORACLE_MIN_X:
+        raise DomainError(f"oracle requires x >= {_ORACLE_MIN_X:g}")
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     if x >= _EXP_UNDERFLOW:

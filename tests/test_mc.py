@@ -112,6 +112,12 @@ def test_ks_rejects_empty_and_nonmonotone():
         mc.ks_statistic(batch, lambda x: -x)
     with pytest.raises(ValueError):
         mc.ks_statistic(batch, lambda x: dist.laplace_cdf(x) + 0.5)
+    # monotone inside each KS block but dropping from the last entry of the
+    # first block to the first entry of the second
+    wide = mc.sample(Generator.NORMAL_PRODUCT, 1, mc._BLOCK + 100)
+    cut = np.sort(wide.values)[mc._BLOCK]
+    with pytest.raises(ValueError, match="not monotone"):
+        mc.ks_statistic(wide, lambda x: dist.laplace_cdf(x) - 0.25 * (x >= cut))
 
 
 def test_golden_seed_table_against_laplace():
@@ -225,12 +231,57 @@ def _textbook_ks(values, cdf):
 
 
 def test_ks_statistic_equals_textbook_formula():
-    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 104, 200_001)
-    report = mc.ks_statistic(batch, dist.laplace_cdf)
-    assert report.statistic == _textbook_ks(batch.values, dist.laplace_cdf)
+    b = mc._BLOCK
+    for n in (1, b - 1, b, b + 1, 200_001):
+        batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 104, n)
+        report = mc.ks_statistic(batch, dist.laplace_cdf)
+        assert report.statistic == _textbook_ks(batch.values, dist.laplace_cdf)
     n = 1000
     p = (np.arange(1, n + 1) - 0.5) / n
     quantiles = np.where(p <= 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
     exact = mc.SampleBatch(Generator.PRODUCT_SELF_DIFFERENCE, 0, n, quantiles)
     report = mc.ks_statistic(exact, dist.laplace_cdf)
     assert report.statistic == _textbook_ks(quantiles, dist.laplace_cdf)
+
+
+def test_ks_statistic_leaves_batch_unchanged():
+    # `lclab sample --ks` writes the CSV from the same batch after the test
+    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, 10_000)
+    before = batch.values.copy()
+    mc.ks_statistic(batch, dist.laplace_cdf)
+    assert np.array_equal(batch.values, before)
+
+
+def test_ks_statistic_memory_is_one_sorted_copy_plus_blocks():
+    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, 10**6)
+    tracemalloc.start()
+    try:
+        mc.ks_statistic(batch, dist.laplace_cdf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * batch.values.nbytes
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ks_over_seeds_equals_serial_reports(monkeypatch, cpus):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    seeds, n = (101, 102, 103, 104, 105), mc._BLOCK + 3
+    for generator in Generator:
+        serial = [mc.ks_statistic(mc.sample(generator, s, n), dist.laplace_cdf, 0.01) for s in seeds]
+        assert mc.ks_over_seeds(generator, seeds, n, dist.laplace_cdf, 0.01) == serial
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ks_over_seeds_raises_a_failing_job(monkeypatch, cpus):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    seeds, n = (101, 102, 103, 104), 1000
+    lowest = float(mc.sample(Generator.NORMAL_PRODUCT, 103, n).values.min())
+
+    def cdf(x):
+        # leaves [0, 1] on seed 103's sample only
+        f = dist.laplace_cdf(x)
+        return f - 1.0 if x[0] == lowest else f
+
+    with pytest.raises(ValueError, match="leaves"):
+        mc.ks_over_seeds(Generator.NORMAL_PRODUCT, seeds, n, cdf)

@@ -57,6 +57,21 @@ def test_domain_errors(bad):
         sf.bessel_k0_quadrature_oracle(bad)
 
 
+@pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+def test_oracles_reject_subnormal_arguments(tiny):
+    for oracle in (sf.bessel_k0_quadrature_oracle, sf.bessel_k1_quadrature_oracle):
+        with pytest.raises(DomainError):
+            oracle(tiny)
+
+
+def test_oracles_at_their_floor_match_main_path():
+    x = 1e-300
+    k0 = sf.bessel_k0_quadrature_oracle(x, 1e-14).value
+    k1 = sf.bessel_k1_quadrature_oracle(x, 1e-14).value
+    assert abs(k0 - float(sf.k0_values(x))) / k0 <= 1e-12
+    assert abs(k1 - float(sf.k1_values(x))) / k1 <= 1e-12
+
+
 def test_oracle_requires_positive_tol():
     with pytest.raises(DomainError):
         sf.bessel_k0_quadrature_oracle(1.0, tol=0.0)
