@@ -31,7 +31,9 @@ class AnalyticDensity:
     ``pdf`` and ``log_pdf`` must accept float ndarrays.  ``tail_rate`` is
     the exponential decay rate of the tails (``inf`` for Gaussian-type
     decay); it bounds the arguments for which exp-tilted integrals of the
-    density converge.
+    density converge.  ``even`` states that the density is symmetric about
+    0, f(-x) = f(x), with its singular points in +- pairs; ``discretize``
+    then evaluates it on the left half of the grid only and mirrors it.
     """
 
     name: str
@@ -39,6 +41,7 @@ class AnalyticDensity:
     log_pdf: Callable[[np.ndarray], np.ndarray]
     singular_points: tuple[float, ...] = ()
     tail_rate: float = math.inf
+    even: bool = False
 
 
 def _normal_pdf(x: np.ndarray) -> np.ndarray:
@@ -67,12 +70,12 @@ def _product_log_pdf(x: np.ndarray) -> np.ndarray:
 
 def standard_normal() -> AnalyticDensity:
     """The standard normal law N(0, 1)."""
-    return AnalyticDensity("normal", _normal_pdf, _normal_log_pdf)
+    return AnalyticDensity("normal", _normal_pdf, _normal_log_pdf, even=True)
 
 
 def laplace() -> AnalyticDensity:
     """Laplace(0, 1): density exp(-|x|)/2, variance 2."""
-    return AnalyticDensity("laplace", _laplace_pdf, _laplace_log_pdf, tail_rate=1.0)
+    return AnalyticDensity("laplace", _laplace_pdf, _laplace_log_pdf, tail_rate=1.0, even=True)
 
 
 def normal_product() -> AnalyticDensity:
@@ -83,6 +86,7 @@ def normal_product() -> AnalyticDensity:
         _product_log_pdf,
         singular_points=(0.0,),
         tail_rate=1.0,
+        even=True,
     )
 
 
@@ -291,6 +295,10 @@ class GridDensity:
         expected_first = -half_width + 0.5 * h
         if abs(x[0] - expected_first) > 1e-9 * max(1.0, half_width):
             raise ValueError("grid CSV nodes are not a midpoint grid")
+        if trusted is not None and half_width < trusted <= half_width * (1.0 + 1e-9):
+            # a window over the whole grid: the nodes give its half-width to
+            # rounding only, the comment line gives it exactly
+            half_width = trusted
         return cls(half_width, v, singular_points=singular, trusted_half_width=trusted)
 
 
@@ -306,16 +314,24 @@ def discretize(density: AnalyticDensity, half_width: float, n_cells: int) -> Gri
     """Sample a density on the midpoint grid and normalize to unit mass.
 
     Cells whose closure contains a singular point get the cell average
-    (by adaptive quadrature) instead of the midpoint value.
+    (by adaptive quadrature) instead of the midpoint value.  An even law
+    is evaluated on the left half of the grid and mirrored, so its grid is
+    exactly even although the computed nodes are not exactly antisymmetric.
     """
     if not half_width > 0.0:
         raise ValueError("half_width must be positive")
+    if not math.isfinite(2.0 * half_width):
+        raise ValueError("half_width is too large: the grid width 2 * half_width overflows")
     if n_cells < 64 or n_cells % 2:
         raise ValueError("n_cells must be even and >= 64")
     h = 2.0 * half_width / n_cells
+    half = n_cells // 2 if density.even else n_cells
     edges = -half_width + h * np.arange(n_cells + 1)
-    nodes = -half_width + (np.arange(n_cells) + 0.5) * h
+    nodes = -half_width + (np.arange(half) + 0.5) * h
 
+    # a right-half singular cell of an even law is averaged as its left mirror,
+    # so each side of 0 gets an averaged cell even when the central edge
+    # rounds off 0 and only one of the two central cells contains it
     singular_cells: set[int] = set()
     for s in density.singular_points:
         if not -half_width <= s <= half_width:
@@ -323,15 +339,17 @@ def discretize(density: AnalyticDensity, half_width: float, n_cells: int) -> Gri
         k0 = int(np.floor((s + half_width) / h))
         for k in (k0 - 1, k0, k0 + 1):
             if 0 <= k < n_cells and edges[k] <= s <= edges[k + 1]:
-                singular_cells.add(k)
+                singular_cells.add(k if k < half else n_cells - 1 - k)
 
-    values = np.zeros(n_cells)
-    regular = np.ones(n_cells, dtype=bool)
-    for k in singular_cells:
-        regular[k] = False
-    values[regular] = density.pdf(nodes[regular])
+    values = np.empty(n_cells)
+    left = values[:half]
+    regular = np.ones(half, dtype=bool)
+    regular[list(singular_cells)] = False
+    left[regular] = density.pdf(nodes[regular])
     for k in sorted(singular_cells):
-        values[k] = _cell_average(density, float(edges[k]), float(edges[k + 1]))
+        left[k] = _cell_average(density, float(edges[k]), float(edges[k + 1]))
+    if density.even:
+        values[half:] = left[::-1]
 
     on_grid = tuple(s for s in density.singular_points if -half_width <= s <= half_width)
     return GridDensity(half_width, values, singular_points=on_grid).normalized()

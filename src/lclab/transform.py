@@ -21,6 +21,9 @@ relative error bound from the FFT's absolute bound (see
 ``_FFT_ERROR_BOUND``); each keeps the value of its best tilt, and the few
 largest lags that no tilt brings under ``_REL_TARGET`` -- sums of a
 handful of products of the values' end blocks -- are summed directly.
+Each tilt transforms the values and their reverse; an exactly even grid,
+such as ``dist.discretize`` builds for every built-in law, needs one
+spectrum per tilt instead of two.
 
 MGFs are evaluated by two independent numeric routes so the Bessel-backed
 density code is never certified by itself: direct exp-tilted quadrature of

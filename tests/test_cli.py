@@ -238,3 +238,18 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("law", ["laplace", "normal-product"])
+def test_density_overflowing_half_width_exits_1(law):
+    # 2 * half_width overflows to inf; this must be one clean error, with no
+    # numpy warning from grid arithmetic on inf
+    proc = subprocess.run(
+        [sys.executable, "-m", "lclab", "density", "--law", law, "--half-width", "1e308",
+         "--cells", "64"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "RuntimeWarning" not in proc.stderr

@@ -122,6 +122,38 @@ def test_discretize_normal_symmetric():
     assert np.array_equal(g.values, g.values[::-1])
 
 
+@pytest.mark.parametrize("law", dist.builtin_density_names())
+@pytest.mark.parametrize("half_width", [12.06, 99.21396298681813, 193.1])
+@pytest.mark.parametrize("cells", [1272, 4098, 2**14])
+def test_discretize_builtin_law_exactly_even(law, half_width, cells):
+    # the computed nodes are not exactly antisymmetric at these half-widths
+    g = dist.discretize(dist.builtin_density(law), half_width, cells)
+    assert np.array_equal(g.values, g.values[::-1])
+
+
+@pytest.mark.parametrize("half_width, cells", [(99.21396298681813, 1272), (710.3982969256681, 82)])
+def test_discretize_product_averages_both_central_cells(half_width, cells):
+    # the central edge of these grids rounds off 0, so only one central cell
+    # contains the singular point; both must still hold the cell average
+    g = dist.discretize(dist.normal_product(), half_width, cells)
+    k = cells // 2
+    assert g.values[k - 1] == g.values[k]
+    assert g.values[k] > g.values[k + 1]
+    assert g.values[k - 1] > g.values[k - 2]
+
+
+def test_discretize_asymmetric_law_evaluated_on_every_node():
+    shifted = dist.AnalyticDensity(
+        "shifted-laplace",
+        lambda x: 0.5 * np.exp(-np.abs(x - 1.0)),
+        lambda x: -np.abs(x - 1.0) - math.log(2.0),
+    )
+    g = dist.discretize(shifted, 12.06, 1272)
+    raw = shifted.pdf(g.nodes)
+    assert np.array_equal(g.values, raw / (g.step * float(np.sum(raw))))
+    assert not np.array_equal(g.values, g.values[::-1])
+
+
 def test_discretize_validates_arguments():
     with pytest.raises(ValueError):
         dist.discretize(dist.laplace(), 8.0, 63)
@@ -129,6 +161,8 @@ def test_discretize_validates_arguments():
         dist.discretize(dist.laplace(), 8.0, 62)
     with pytest.raises(ValueError):
         dist.discretize(dist.laplace(), -1.0, 64)
+    with pytest.raises(ValueError, match="overflows"):
+        dist.discretize(dist.laplace(), 1e308, 64)
 
 
 def test_grid_nodes_exclude_origin(product_grid):
@@ -165,6 +199,37 @@ def test_csv_round_trip(product_selfdiff):
     assert back.half_width == pytest.approx(product_selfdiff.half_width, rel=1e-15)
     assert back.trusted_half_width == product_selfdiff.trusted_half_width
     assert back.singular_points == product_selfdiff.singular_points
+
+
+@st.composite
+def _grids(draw):
+    half_cells = draw(st.integers(min_value=1, max_value=40))
+    values = draw(
+        st.lists(
+            st.floats(min_value=0.0, allow_infinity=False),
+            min_size=2 * half_cells,
+            max_size=2 * half_cells,
+        )
+    )
+    half_width = draw(st.floats(min_value=1e-3, max_value=1e6))
+    # a window over the whole grid (fraction 1) is the case where the
+    # half-width parsed from the nodes may round below the declared window
+    fraction = draw(st.none() | st.just(1.0) | st.floats(min_value=1e-6, max_value=1.0))
+    singular = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+    trusted = None if fraction is None else fraction * half_width
+    return dist.GridDensity(
+        half_width, np.array(values), singular_points=singular, trusted_half_width=trusted
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids())
+def test_csv_round_trip_arbitrary_metadata(g):
+    back = dist.GridDensity.from_csv(g.to_csv())
+    assert np.array_equal(back.values, g.values)
+    assert back.half_width == pytest.approx(g.half_width, rel=1e-12)
+    assert back.trusted_half_width == g.trusted_half_width
+    assert back.singular_points == g.singular_points
 
 
 def test_csv_rejects_malformed():

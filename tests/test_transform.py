@@ -101,16 +101,45 @@ def test_fft_correlation_accurate_into_subnormal_tails():
     assert np.all(np.abs(fft - direct) <= 1e-12 * np.maximum(direct, tiny))
 
 
+def _self_difference_counting_ffts(monkeypatch, g: dist.GridDensity):
+    """``self_difference(g)`` with the numbers of rfft and irfft calls it made."""
+    counts = {"rfft": 0, "irfft": 0}
+
+    def counting(name):
+        real = getattr(transform.np.fft, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(transform.np.fft, name, counting(name))
+    out = transform.self_difference(g)
+    return out, counts["rfft"], counts["irfft"]
+
+
 @pytest.mark.parametrize("cells", [64, 1000, 4096, 2**14])
-def test_fft_selfdiff_relative_accuracy_on_skewed_input(cells):
+def test_fft_selfdiff_relative_accuracy_on_skewed_input(cells, monkeypatch):
     # a skewed grid takes the two-spectrum path (values and their reverse)
     rng = np.random.default_rng(cells)
     values = rng.uniform(0.05, 1.0, cells) * np.exp(-np.linspace(0.0, 60.0, cells))
     g = dist.GridDensity(4.0, values).normalized()
-    fft = transform.self_difference(g, use_fft=True)
+    fft, rfft, irfft = _self_difference_counting_ffts(monkeypatch, g)
     direct = transform.self_difference(g, use_fft=False)
     _assert_relative(fft.values, direct.values, 1e-12)
     assert fft.values[-1] < 1e-20 * fft.values.max()  # a tail the plain FFT loses
+    assert irfft > 0
+    assert rfft == 2 * irfft
+
+
+@pytest.mark.parametrize("law", dist.builtin_density_names())
+def test_builtin_grid_takes_one_spectrum_per_tilt(law, monkeypatch):
+    g = dist.discretize(dist.builtin_density(law), 12.06, 2**14)
+    _, rfft, irfft = _self_difference_counting_ffts(monkeypatch, g)
+    assert irfft > 0
+    assert rfft == irfft
 
 
 def _log_concave_grid(seed: int, cells: int) -> dist.GridDensity:
