@@ -45,11 +45,13 @@ class AnalyticDensity:
 
 
 def _normal_pdf(x: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * x * x - _LN_SQRT_2PI)
+    return np.exp(_normal_log_pdf(x))
 
 
 def _normal_log_pdf(x: np.ndarray) -> np.ndarray:
-    return -0.5 * x * x - _LN_SQRT_2PI
+    # x * x overflows to inf beyond |x| ~ 1.3e154, where the log-density is -inf
+    with np.errstate(over="ignore"):
+        return -0.5 * x * x - _LN_SQRT_2PI
 
 
 def _laplace_pdf(x: np.ndarray) -> np.ndarray:

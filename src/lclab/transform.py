@@ -21,6 +21,11 @@ relative error bound from the FFT's absolute bound (see
 ``_FFT_ERROR_BOUND``); each keeps the value of its best tilt, and the few
 largest lags that no tilt brings under ``_REL_TARGET`` -- sums of a
 handful of products of the values' end blocks -- are summed directly.
+No plain-FFT pass is spent on finding where the plain FFT stops being
+accurate: a bisection on about log2 n exact lag sums finds that lag, and
+the first tilt is the one centred on it; only if that tilt leaves a
+smaller lag short (for the normal law, or a correlation that rises again)
+does the plain FFT follow.
 Each tilt transforms the values and their reverse; an exactly even grid,
 such as ``dist.discretize`` builds for every built-in law, needs one
 spectrum per tilt instead of two.
@@ -167,18 +172,45 @@ def _tilted(x: np.ndarray, phi: float) -> tuple[np.ndarray, int, int]:
     return np.ldexp(t, q.astype(np.int32), out=t), j, e
 
 
+def _first_short_lag(v: np.ndarray, floor: float) -> int:
+    """First lag d with ``v[:n-d] @ v[d:]`` below ``floor`` (n if none).
+
+    Bisects on the exact lag sums, so it takes about log2 n + 1 dot
+    products and is exact when the sums fall with the lag, as they do for
+    log-concave v; otherwise it returns some lag where they cross
+    ``floor`` downwards.
+    """
+    n = v.size
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(v[: n - mid] @ v[mid:]) < floor:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     """``sum_i v[i] v[i+d]`` for lags d = 0..n-1 of a positive-ended v.
 
     Lag d is entry n-1+d of the convolution of v with its reverse w, so
     each tilt transforms both (one spectrum serves both when v is even).
-    The first tilt is 0 (the plain FFT).  Lag 0, ||v||^2, is the largest
-    sum (Cauchy-Schwarz), so each further tilt is the saddle tilt of the
-    first lag not yet at ``_REL_TARGET``, until the lags left form an end
-    block whose direct sum costs no more than one tilt's FFT work
-    (r^2 <= m log2 m), or the last tilt saved less direct work than that;
-    so every further tilt saves more direct work than its FFTs.  The last
-    r lags involve only v[:r] and v[n-r:] and are summed directly.
+    Lag 0, ||v||^2, is the largest sum (Cauchy-Schwarz), and the plain FFT
+    (tilt 0) is accurate up to the first lag d0 whose sum falls below its
+    absolute bound over ``_REL_TARGET``.  ``_first_short_lag`` finds d0
+    from exact sums, and the first tilt is the saddle tilt of lag d0; for
+    the product law and Laplace it also covers every lag below d0, which
+    saves the plain FFT pass.  Should it leave a lag below d0 short (as the
+    normal law's narrower tilts do, or a correlation that rises again), the
+    next tilt is 0, so the worst case is one tilt more.  Each further tilt
+    is the saddle tilt of the first lag not yet at ``_REL_TARGET``, until
+    the lags left form an end block whose direct sum costs no more than one
+    tilt's FFT work (r^2 <= m log2 m), or the last tilt saved less direct
+    work than that; so every further tilt saves more direct work than its
+    FFTs.  When the lags from d0 on already form such an end block, the
+    only tilt is 0.  The last r lags involve only v[:r] and v[n-r:] and are
+    summed directly.
 
     An entry's relative error bound is the FFT bound over the tilted entry;
     an entry whose absolute bound falls below ``_REL_TARGET`` times the
@@ -194,21 +226,27 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     out = np.zeros(n)
     quality = np.zeros(n, dtype=np.float32)  # entry / its error bound
     wanted = 1.0 / _REL_TARGET
-    phi, r = 0.0, None
+    floor = _FFT_ERROR_BOUND * _EPS * math.log2(m) * float(v @ v) * wanted
+    d0 = _first_short_lag(v, floor)
+    r = n - d0
+    if r * r <= budget:
+        phi, r, d0 = 0.0, None, 0
+    else:
+        phi = _saddle_tilt(v, None if even else w, size - r, 0.0)
+    work = np.empty(m)  # each tilt's zero-padded factors, then their convolution
     while True:
-        a, ja, ea = _tilted(v, phi)
-        norm_a = math.sqrt(float(a @ a))
-        spec = np.fft.rfft(a, m)
-        del a
+        work[n:] = 0.0
+        work[:n], ja, ea = _tilted(v, phi)
+        norm_a = math.sqrt(float(work[:n] @ work[:n]))
+        spec = np.fft.rfft(work)
         if even:
             jb, eb, norm_b = ja, ea, norm_a
             spec *= spec
         else:
-            b, jb, eb = _tilted(w, phi)
-            norm_b = math.sqrt(float(b @ b))
-            spec *= np.fft.rfft(b, m)
-            del b
-        conv = np.fft.irfft(spec, m)[n - 1 : size]
+            work[:n], jb, eb = _tilted(w, phi)
+            norm_b = math.sqrt(float(work[:n] @ work[:n]))
+            spec *= np.fft.rfft(work)
+        conv = np.fft.irfft(spec, m, out=work)[n - 1 : size]
         del spec
         bound = _FFT_ERROR_BOUND * _EPS * math.log2(m) * norm_a * norm_b
         # undo the tilt: lag d is conv[d] * 2^(phi (ja + jb - n + 1 - d) + ea + eb)
@@ -227,8 +265,13 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
         np.copyto(quality, conv, where=better)
         del scale, conv, better
         bad = quality < wanted
-        last, r = r, (n - int(np.argmax(bad)) if bad.any() else 0)
+        short = int(np.argmax(bad)) if bad.any() else n
         del bad
+        if short < d0:
+            # the first tilt left a lag of the plain FFT's range short
+            phi, r, d0 = 0.0, None, 0
+            continue
+        last, r = r, n - short
         if r * r <= budget or (last is not None and last * last - r * r <= budget):
             break
         phi = _saddle_tilt(v, None if even else w, size - r, phi)

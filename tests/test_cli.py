@@ -240,16 +240,17 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("law", ["laplace", "normal-product"])
+@pytest.mark.parametrize("law", ["laplace", "normal-product", "normal"])
 def test_density_overflowing_half_width_exits_1(law):
-    # 2 * half_width overflows to inf; this must be one clean error, with no
-    # numpy warning from grid arithmetic on inf
-    proc = subprocess.run(
-        [sys.executable, "-m", "lclab", "density", "--law", law, "--half-width", "1e308",
-         "--cells", "64"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "RuntimeWarning" not in proc.stderr
+    # at 1e308, 2 * half_width overflows to inf; at 1e200, x * x does in the
+    # normal pdf.  Each must be one clean error, with no numpy warning
+    for half_width in ("1e308", "1e200"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lclab", "density", "--law", law, "--half-width",
+             half_width, "--cells", "64"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, half_width
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "RuntimeWarning" not in proc.stderr

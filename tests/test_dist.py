@@ -163,6 +163,9 @@ def test_discretize_validates_arguments():
         dist.discretize(dist.laplace(), -1.0, 64)
     with pytest.raises(ValueError, match="overflows"):
         dist.discretize(dist.laplace(), 1e308, 64)
+    # x * x overflows in the normal pdf: a zero-mass grid, with no warning
+    with pytest.raises(ValueError, match="zero-mass"):
+        dist.discretize(dist.standard_normal(), 1e200, 64)
 
 
 def test_grid_nodes_exclude_origin(product_grid):

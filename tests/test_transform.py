@@ -101,8 +101,8 @@ def test_fft_correlation_accurate_into_subnormal_tails():
     assert np.all(np.abs(fft - direct) <= 1e-12 * np.maximum(direct, tiny))
 
 
-def _self_difference_counting_ffts(monkeypatch, g: dist.GridDensity):
-    """``self_difference(g)`` with the numbers of rfft and irfft calls it made."""
+def _counting_ffts(monkeypatch, f, *args):
+    """``f(*args)`` with the numbers of rfft and irfft calls it made."""
     counts = {"rfft": 0, "irfft": 0}
 
     def counting(name):
@@ -116,7 +116,7 @@ def _self_difference_counting_ffts(monkeypatch, g: dist.GridDensity):
 
     for name in counts:
         monkeypatch.setattr(transform.np.fft, name, counting(name))
-    out = transform.self_difference(g)
+    out = f(*args)
     return out, counts["rfft"], counts["irfft"]
 
 
@@ -126,7 +126,7 @@ def test_fft_selfdiff_relative_accuracy_on_skewed_input(cells, monkeypatch):
     rng = np.random.default_rng(cells)
     values = rng.uniform(0.05, 1.0, cells) * np.exp(-np.linspace(0.0, 60.0, cells))
     g = dist.GridDensity(4.0, values).normalized()
-    fft, rfft, irfft = _self_difference_counting_ffts(monkeypatch, g)
+    fft, rfft, irfft = _counting_ffts(monkeypatch, transform.self_difference, g)
     direct = transform.self_difference(g, use_fft=False)
     _assert_relative(fft.values, direct.values, 1e-12)
     assert fft.values[-1] < 1e-20 * fft.values.max()  # a tail the plain FFT loses
@@ -134,12 +134,62 @@ def test_fft_selfdiff_relative_accuracy_on_skewed_input(cells, monkeypatch):
     assert rfft == 2 * irfft
 
 
+#: tilts per self-difference at 2^14 cells, L = 12.06: the probe saves the
+#: plain-FFT pass for the product law and Laplace, whose first (saddle)
+#: tilt covers every lag the plain FFT does; the normal law's does not, so
+#: its second tilt is 0
+TILTS_AT_12_06 = {"normal-product": 2, "laplace": 2, "normal": 7}
+
+
 @pytest.mark.parametrize("law", dist.builtin_density_names())
 def test_builtin_grid_takes_one_spectrum_per_tilt(law, monkeypatch):
     g = dist.discretize(dist.builtin_density(law), 12.06, 2**14)
-    _, rfft, irfft = _self_difference_counting_ffts(monkeypatch, g)
-    assert irfft > 0
+    _, rfft, irfft = _counting_ffts(monkeypatch, transform.self_difference, g)
+    assert irfft == TILTS_AT_12_06[law]
     assert rfft == irfft
+
+
+@pytest.mark.parametrize("law", dist.builtin_density_names())
+@pytest.mark.parametrize("cells", [64, 256, 1000, 4096])
+def test_first_short_lag_matches_brute_force(law, cells):
+    # the first lag whose exact sum falls below a plain FFT's accuracy floor
+    g = dist.discretize(dist.builtin_density(law), 12.0, cells)
+    v = g.values
+    sums = np.correlate(v, v, mode="full")[cells - 1 :]
+    m = 1 << (2 * cells - 2).bit_length()
+    floor = transform._FFT_ERROR_BOUND * np.finfo(float).eps * math.log2(m) * sums[0]
+    floor /= transform._REL_TARGET
+    short = np.flatnonzero(sums < floor)
+    expected = int(short[0]) if short.size else cells
+    assert transform._first_short_lag(v, floor) == expected
+    assert transform._first_short_lag(v, 0.0) == cells
+    assert transform._first_short_lag(v, 2.0 * sums[0]) == 0
+
+
+def test_fft_correlation_falls_back_to_plain_tilt_on_two_bumps(monkeypatch):
+    # the correlation of two bumps rises again at their distance, so the
+    # probe's lag lies past a dip that the first (saddle) tilt leaves short;
+    # the plain tilt must follow
+    n = 2000
+    x = np.linspace(-1.0, 1.0, n)
+
+    def bump(z):
+        return np.exp(-0.5 * z * z)
+
+    v = bump((x - 0.2) / 0.05) + 1e-3 * bump((x + 0.2) / 0.05) + 1e-30
+    v = v + v[::-1]
+    tilts = []
+    tilted = transform._tilted
+
+    def recording(x, phi):
+        tilts.append(phi)
+        return tilted(x, phi)
+
+    monkeypatch.setattr(transform, "_tilted", recording)
+    fft, _, irfft = _counting_ffts(monkeypatch, transform._correlation_sums, v, True)
+    _assert_relative(fft, np.correlate(v, v, mode="full")[n - 1 :], 1e-12)
+    assert irfft <= 3
+    assert tilts[0] != 0.0 and tilts[1] == 0.0
 
 
 def _log_concave_grid(seed: int, cells: int) -> dist.GridDensity:
