@@ -25,7 +25,10 @@ No plain-FFT pass is spent on finding where the plain FFT stops being
 accurate: a bisection on about log2 n exact lag sums finds that lag, and
 the first tilt is the one centred on it; only if that tilt leaves a
 smaller lag short (for the normal law, or a correlation that rises again)
-does the plain FFT follow.
+does the plain FFT follow.  These first tilts run on the full length, each
+O(n log n).  Every later tilt only fixes the trailing block of R lags from
+the first one still short, which depend on R values at each end, so it
+runs on those alone in O(R log R).
 Each tilt transforms the values and their reverse; an exactly even grid,
 such as ``dist.discretize`` builds for every built-in law, needs one
 spectrum per tilt instead of two.
@@ -68,6 +71,11 @@ _FFT_ERROR_BOUND = 1.0
 #: multiple of 2^-30 below 2^12 in magnitude and is computed exactly.
 _TILT_QUANTUM = 2.0**-30
 
+#: A grid that peaks above this is scaled by a power of two before its
+#: correlation sums are taken: below it, the sums of up to 2^21 cells stay
+#: under 2^1014, where undoing a tilt is exact.
+_PEAK_LIMIT = 2.0**496
+
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _MASS_TOL = 1e-6
@@ -98,20 +106,24 @@ def _log2(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tilt_moments(log2x: np.ndarray, phi: float) -> tuple[float, float]:
-    """Mean and variance of the index i under the weights (x_i 2^(phi i))^2."""
-    w = np.arange(log2x.size, dtype=float)
-    w *= phi
+def _tilt_moments(
+    log2x: np.ndarray, phi: float, i: np.ndarray, w: np.ndarray, d: np.ndarray
+) -> tuple[float, float]:
+    """Mean and variance of the index i under the weights (x_i 2^(phi i))^2.
+
+    ``i`` holds the indices as floats; ``w`` and ``d`` are scratch vectors
+    of the same size, reused over the Newton steps of a saddle solve.
+    """
+    np.multiply(i, phi, out=w)
     w += log2x
     w *= 2.0
     w -= w.max()
     np.exp2(w, out=w)
     total = float(w.sum())
-    i = np.arange(log2x.size, dtype=float)
     mean = float(w @ i) / total
-    i -= mean
-    i *= i
-    return mean, float(w @ i) / total
+    np.subtract(i, mean, out=d)
+    d *= d
+    return mean, float(w @ d) / total
 
 
 def _saddle_tilt(x: np.ndarray, y: np.ndarray | None, k: int, phi: float) -> float:
@@ -126,13 +138,14 @@ def _saddle_tilt(x: np.ndarray, y: np.ndarray | None, k: int, phi: float) -> flo
     """
     log2x = _log2(x)
     log2y = None if y is None else _log2(y)
+    scratch = np.arange(x.size, dtype=float), np.empty(x.size), np.empty(x.size)
     lo, hi = -math.inf, math.inf
     for _ in range(64):
-        mean, spread = _tilt_moments(log2x, phi)
+        mean, spread = _tilt_moments(log2x, phi, *scratch)
         if log2y is None:
             mean, spread = 2.0 * mean, 2.0 * spread
         else:
-            mean_y, spread_y = _tilt_moments(log2y, phi)
+            mean_y, spread_y = _tilt_moments(log2y, phi, *scratch)
             mean, spread = mean + mean_y, spread + spread_y
         miss = mean - k
         if abs(miss) <= math.sqrt(spread):
@@ -191,6 +204,73 @@ def _first_short_lag(v: np.ndarray, floor: float) -> int:
     return lo
 
 
+def _fft_length(r: int) -> int:
+    """Power-of-two length of the FFTs that convolve two r-vectors."""
+    return max(1 << (2 * r - 2).bit_length(), 2)
+
+
+def _tilt_cost(r: int) -> float:
+    """Work of one tilt of an r-lag block, m log2 m for FFT length m.
+
+    It is weighed against the r^2 products of summing the block directly.
+    """
+    m = _fft_length(r)
+    return m * math.log2(m)
+
+
+def _tilt_pass(
+    a: np.ndarray,
+    b: np.ndarray | None,
+    phi: float,
+    out: np.ndarray,
+    quality: np.ndarray,
+    work: np.ndarray,
+) -> int:
+    """Fold one tilt of entries R-1 .. 2R-2 of ``conv(a, b)`` into ``out``.
+
+    a and b have R entries (``b`` None means b = a: one spectrum serves
+    both).  Entry R-1+d replaces ``out[d]`` where its ratio to its error
+    bound beats ``quality[d]``; ``work`` holds at least ``_fft_length(R)``
+    entries.  Returns the first d still short of ``_REL_TARGET`` (R if none).
+    """
+    r = a.size
+    size = 2 * r - 1
+    m = _fft_length(r)
+    work = work[:m]  # the zero-padded factors, then their convolution
+    work[r:] = 0.0
+    work[:r], ja, ea = _tilted(a, phi)
+    norm_a = math.sqrt(float(work[:r] @ work[:r]))
+    spec = np.fft.rfft(work)
+    if b is None:
+        jb, eb, norm_b = ja, ea, norm_a
+        spec *= spec
+    else:
+        work[:r], jb, eb = _tilted(b, phi)
+        norm_b = math.sqrt(float(work[:r] @ work[:r]))
+        spec *= np.fft.rfft(work)
+    conv = np.fft.irfft(spec, m, out=work)[r - 1 : size]
+    del spec
+    bound = _FFT_ERROR_BOUND * _EPS * math.log2(m) * norm_a * norm_b
+    # undo the tilt: entry r-1+d is conv[d] * 2^(phi (ja + jb - r + 1 - d) + ea + eb)
+    scale = np.arange(ja + jb - r + 1, ja + jb - size, -1, dtype=float)
+    scale *= phi
+    scale += ea + eb
+    subnormal = scale <= math.log2(_REL_TARGET * _TINY / bound)
+    np.minimum(scale, 1023.0, out=scale)
+    np.exp2(scale, out=scale)
+    scale *= conv
+    conv *= 1.0 / bound
+    wanted = 1.0 / _REL_TARGET
+    np.maximum(conv, wanted, out=conv, where=subnormal)
+    del subnormal
+    better = conv > quality
+    np.copyto(out, scale, where=better)
+    np.copyto(quality, conv, where=better)
+    del scale, conv, better
+    bad = quality < wanted
+    return int(np.argmax(bad)) if bad.any() else r
+
+
 def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     """``sum_i v[i] v[i+d]`` for lags d = 0..n-1 of a positive-ended v.
 
@@ -203,14 +283,18 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     the product law and Laplace it also covers every lag below d0, which
     saves the plain FFT pass.  Should it leave a lag below d0 short (as the
     normal law's narrower tilts do, or a correlation that rises again), the
-    next tilt is 0, so the worst case is one tilt more.  Each further tilt
-    is the saddle tilt of the first lag not yet at ``_REL_TARGET``, until
-    the lags left form an end block whose direct sum costs no more than one
-    tilt's FFT work (r^2 <= m log2 m), or the last tilt saved less direct
-    work than that; so every further tilt saves more direct work than its
-    FFTs.  When the lags from d0 on already form such an end block, the
-    only tilt is 0.  The last r lags involve only v[:r] and v[n-r:] and are
-    summed directly.
+    next tilt is 0, so the worst case is one full-length tilt more.  When
+    the lags from d0 on cost no more to sum directly than a tilt of them
+    (``_tilt_cost``), the only tilt is 0.
+
+    These first tilts run on the full length, O(n log n) each.  Every later
+    tilt fixes only the trailing block of R lags from the first one still
+    short, s = n - R, on.  Those lags involve only v[s:] and w[s:] (they
+    are entries R-1 .. 2R-2 of ``conv(v[s:], w[s:])``), so the tilt is the
+    saddle tilt of lag s for that pair, with its own FFT length, error
+    bound and saddle solve, O(R log R).  Tilts stop once the block left
+    costs no more to sum directly than a tilt of it, or the last tilt saved
+    less direct work than that; that end block is summed directly.
 
     An entry's relative error bound is the FFT bound over the tilted entry;
     an entry whose absolute bound falls below ``_REL_TARGET`` times the
@@ -220,83 +304,62 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     n = v.size
     w = v[::-1]
     even = np.array_equal(v, w)
-    size = 2 * n - 1
-    m = max(1 << (size - 1).bit_length(), 2)
-    budget = m * math.log2(m)
+    m = _fft_length(n)
     out = np.zeros(n)
     quality = np.zeros(n, dtype=np.float32)  # entry / its error bound
-    wanted = 1.0 / _REL_TARGET
-    floor = _FFT_ERROR_BOUND * _EPS * math.log2(m) * float(v @ v) * wanted
+    work = np.empty(m)  # every tilt's FFT buffer, a prefix for later blocks
+    floor = _FFT_ERROR_BOUND * _EPS * math.log2(m) * float(v @ v) * (1.0 / _REL_TARGET)
     d0 = _first_short_lag(v, floor)
-    r = n - d0
-    if r * r <= budget:
-        phi, r, d0 = 0.0, None, 0
+    last = n - d0
+    a, b = v, None if even else w  # the block of the next tilt
+    if last * last <= _tilt_cost(last):
+        phi, last, d0 = 0.0, None, 0
     else:
-        phi = _saddle_tilt(v, None if even else w, size - r, 0.0)
-    work = np.empty(m)  # each tilt's zero-padded factors, then their convolution
+        phi = _saddle_tilt(a, b, 2 * n - 1 - last, 0.0)
+    short = 0
     while True:
-        work[n:] = 0.0
-        work[:n], ja, ea = _tilted(v, phi)
-        norm_a = math.sqrt(float(work[:n] @ work[:n]))
-        spec = np.fft.rfft(work)
-        if even:
-            jb, eb, norm_b = ja, ea, norm_a
-            spec *= spec
-        else:
-            work[:n], jb, eb = _tilted(w, phi)
-            norm_b = math.sqrt(float(work[:n] @ work[:n]))
-            spec *= np.fft.rfft(work)
-        conv = np.fft.irfft(spec, m, out=work)[n - 1 : size]
-        del spec
-        bound = _FFT_ERROR_BOUND * _EPS * math.log2(m) * norm_a * norm_b
-        # undo the tilt: lag d is conv[d] * 2^(phi (ja + jb - n + 1 - d) + ea + eb)
-        scale = np.arange(ja + jb - n + 1, ja + jb - size, -1, dtype=float)
-        scale *= phi
-        scale += ea + eb
-        subnormal = scale <= math.log2(_REL_TARGET * _TINY / bound)
-        np.minimum(scale, 1023.0, out=scale)
-        np.exp2(scale, out=scale)
-        scale *= conv
-        conv *= 1.0 / bound
-        np.maximum(conv, wanted, out=conv, where=subnormal)
-        del subnormal
-        better = conv > quality
-        np.copyto(out, scale, where=better)
-        np.copyto(quality, conv, where=better)
-        del scale, conv, better
-        bad = quality < wanted
-        short = int(np.argmax(bad)) if bad.any() else n
-        del bad
+        short += _tilt_pass(a, b, phi, out[short:], quality[short:], work)
         if short < d0:
             # the first tilt left a lag of the plain FFT's range short
-            phi, r, d0 = 0.0, None, 0
+            phi, last, d0, short = 0.0, None, 0, 0
             continue
-        last, r = r, n - short
-        if r * r <= budget or (last is not None and last * last - r * r <= budget):
+        r = n - short
+        cost = _tilt_cost(r)
+        if r * r <= cost or (last is not None and last * last - r * r <= cost):
             break
-        phi = _saddle_tilt(v, None if even else w, size - r, phi)
+        a, b = v[short:], None if even else w[short:]
+        phi = _saddle_tilt(a, b, r - 1, phi)
+        last = r
     if r:
-        out[n - r :] = np.convolve(v[n - r :], w[n - r :])[r - 1 :]
+        out[short:] = np.convolve(v[short:], w[short:])[r - 1 :]
     return out
 
 
-def _correlation_sums(v: np.ndarray, use_fft: bool) -> np.ndarray:
-    """S_d = sum_i v[i] v[i+d] for lags d = 0..n-1 (S is even in d).
+def _correlation_sums(v: np.ndarray, use_fft: bool) -> tuple[np.ndarray, int]:
+    """S_d = sum_i v[i] v[i+d] for lags d = 0..n-1 (S is even in d), and k.
 
+    The sums are those of v 2^-k, i.e. S 2^-2k.  k is 0 unless v peaks
+    above ``_PEAK_LIMIT``; then it scales the peak into [0.5, 1), which
+    keeps both routes' sums and their pairwise sums inside the double range.
     The FFT route cuts leading and trailing zeros first: they contribute
     only exact zeros, and the tilts need v to end in positive values.
     """
     n = v.size
+    k = 0
+    peak = float(v.max())
+    if peak > _PEAK_LIMIT:
+        k = math.frexp(peak)[1]
+        v = np.ldexp(v, -k)
     if not use_fft:
-        return np.correlate(v, v, mode="full")[n - 1 :]
+        return np.correlate(v, v, mode="full")[n - 1 :], k
     nz = np.flatnonzero(v)
     lo, hi = int(nz[0]), int(nz[-1]) + 1
     del nz
     if hi - lo == n:
-        return _tilted_autocorrelation(v)
+        return _tilted_autocorrelation(v), k
     out = np.zeros(n)
     out[: hi - lo] = _tilted_autocorrelation(v[lo:hi])
-    return out
+    return out, k
 
 
 def _check_normalized(g: GridDensity) -> None:
@@ -328,14 +391,14 @@ def self_difference(g: GridDensity, *, use_fft: bool = True) -> GridDensity:
     """
     _check_normalized(g)
     n = g.n_cells
-    sums = _correlation_sums(g.values, use_fft)
+    sums, k = _correlation_sums(g.values, use_fft)
     # the lag-d sum sits on the boundary between cells n-1+d and n+d and is
     # shared equally by both; the left half mirrors the right
     values = np.empty(2 * n)
     right = values[n:]
     np.add(sums[:-1], sums[1:], out=right[:-1])
     right[-1] = sums[-1]
-    right *= 0.5 * g.step
+    right *= math.ldexp(0.5 * g.step, 2 * k)
     np.maximum(right, 0.0, out=right)
     values[:n] = right[::-1]
     singular, trusted = _derived_metadata(g)
@@ -365,8 +428,9 @@ def mgf_via_density(density: AnalyticDensity, t: float, tol: float = 1e-10) -> M
     """E exp(tX) by exp-tilted adaptive quadrature of the density.
 
     Raises :class:`DivergenceError` when |t| reaches the tail decay rate
-    (the integral diverges there); quadrature budget exhaustion raises
-    :class:`NonConvergenceError`.
+    (the integral diverges there) or when the integrand, the value or its
+    error estimate overflows the double range; quadrature budget exhaustion
+    raises :class:`NonConvergenceError`.
     """
     t = float(t)
     if not tol > 0.0:
@@ -378,8 +442,13 @@ def mgf_via_density(density: AnalyticDensity, t: float, tol: float = 1e-10) -> M
     extent = _tilted_window(density, t)
     lo, hi = -extent, extent
 
+    overflow = f"E[exp(tX)] at t = {t} overflows the double range on {density.name!r}"
+
     def integrand(x: np.ndarray) -> np.ndarray:
-        return np.exp(t * x + density.log_pdf(x))
+        y = np.exp(t * x + density.log_pdf(x))
+        if np.isinf(y).any():
+            raise DivergenceError(overflow)
+        return y
 
     pts = [s for s in density.singular_points if lo < s < hi]
     if 0.0 not in pts:
@@ -391,17 +460,21 @@ def mgf_via_density(density: AnalyticDensity, t: float, tol: float = 1e-10) -> M
     while scale < hi:
         pts += [scale, -scale]
         scale *= 2.0
-    res = adaptive_quad(
-        integrand,
-        lo,
-        hi,
-        tol_abs=0.5 * tol,
-        tol_rel=min(1e-12, tol),
-        max_panels=8192,
-        points=pts,
-    )
-    boundary = float(integrand(np.array([lo]))[0] + integrand(np.array([hi]))[0])
-    return MGFValue(t, res.value, res.error + boundary, MGFMethod.DENSITY_QUADRATURE)
+    with np.errstate(over="ignore"):
+        res = adaptive_quad(
+            integrand,
+            lo,
+            hi,
+            tol_abs=0.5 * tol,
+            tol_rel=min(1e-12, tol),
+            max_panels=8192,
+            points=pts,
+        )
+        boundary = float(integrand(np.array([lo]))[0] + integrand(np.array([hi]))[0])
+    error = res.error + boundary
+    if not (math.isfinite(res.value) and math.isfinite(error)):
+        raise DivergenceError(overflow)
+    return MGFValue(t, res.value, error, MGFMethod.DENSITY_QUADRATURE)
 
 
 def mgf_via_conditioning(t: float, tol: float = 1e-10) -> MGFValue:

@@ -111,6 +111,24 @@ def test_mgf_divergent_t_exits_1(capsys):
     assert "diverges" in err
 
 
+@pytest.mark.parametrize("t", ["37.7", "40"])
+def test_mgf_past_the_double_range_exits_1(t, capsys):
+    # E exp(tX) = exp(t^2/2) for the normal law exceeds the double range for
+    # |t| > ~37.67: one error line, no Infinity and no overflow warning
+    code, out, err = run_cli(capsys, "mgf", "--law", "normal", "--t", t)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "overflows" in err
+    assert err.count("\n") == 1
+
+
+def test_mgf_just_inside_the_double_range(capsys):
+    code, out, _ = run_cli(capsys, "mgf", "--law", "normal", "--t", "37")
+    assert code == 0
+    value = json.loads(out)[0]["density_quadrature"]["value"]
+    assert value == pytest.approx(math.exp(37.0**2 / 2.0), rel=1e-9)
+
+
 def test_sample_csv_and_ks_json(tmp_path, capsys):
     values_path = tmp_path / "values.csv"
     ks_path = tmp_path / "ks.json"

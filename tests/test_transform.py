@@ -96,28 +96,35 @@ def test_fft_correlation_accurate_into_subnormal_tails():
     g = dist.discretize(dist.laplace(), 1000.0, 4096)
     v = g.values.astype(np.longdouble)
     direct = np.correlate(v, v, mode="full")[g.n_cells - 1 :]
-    fft = transform._correlation_sums(g.values, use_fft=True)
+    fft, k = transform._correlation_sums(g.values, use_fft=True)
+    assert k == 0
     tiny = np.finfo(float).tiny
     assert np.all(np.abs(fft - direct) <= 1e-12 * np.maximum(direct, tiny))
 
 
 def _counting_ffts(monkeypatch, f, *args):
-    """``f(*args)`` with the numbers of rfft and irfft calls it made."""
-    counts = {"rfft": 0, "irfft": 0}
+    """``f(*args)`` with its number of rfft calls and its irfft lengths."""
+    rffts = []
+    irffts = []
+    rfft, irfft = transform.np.fft.rfft, transform.np.fft.irfft
 
-    def counting(name):
-        real = getattr(transform.np.fft, name)
+    def counting_rfft(x, *args, **kwargs):
+        rffts.append(x.size)
+        return rfft(x, *args, **kwargs)
 
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
+    def recording_irfft(spec, m, **kwargs):
+        irffts.append(m)
+        return irfft(spec, m, **kwargs)
 
-        return call
-
-    for name in counts:
-        monkeypatch.setattr(transform.np.fft, name, counting(name))
+    monkeypatch.setattr(transform.np.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(transform.np.fft, "irfft", recording_irfft)
     out = f(*args)
-    return out, counts["rfft"], counts["irfft"]
+    return out, len(rffts), irffts
+
+
+def _fft_work(lengths):
+    """FFT work of a run, priced m log2 m per length-m transform pair."""
+    return sum(m * math.log2(m) for m in lengths)
 
 
 @pytest.mark.parametrize("cells", [64, 1000, 4096, 2**14])
@@ -130,23 +137,61 @@ def test_fft_selfdiff_relative_accuracy_on_skewed_input(cells, monkeypatch):
     direct = transform.self_difference(g, use_fft=False)
     _assert_relative(fft.values, direct.values, 1e-12)
     assert fft.values[-1] < 1e-20 * fft.values.max()  # a tail the plain FFT loses
-    assert irfft > 0
-    assert rfft == 2 * irfft
+    assert rfft == 2 * len(irfft)
+    # each later tilt must earn its block's FFTs: block tilts under a stop
+    # rule priced at the full FFT length once took 70 tilts on such input
+    assert 0 < len(irfft) <= 2 * math.log2(cells)
 
 
-#: tilts per self-difference at 2^14 cells, L = 12.06: the probe saves the
-#: plain-FFT pass for the product law and Laplace, whose first (saddle)
-#: tilt covers every lag the plain FFT does; the normal law's does not, so
-#: its second tilt is 0
-TILTS_AT_12_06 = {"normal-product": 2, "laplace": 2, "normal": 7}
+#: FFT lengths of the tilts of a self-difference at 2^14 cells, L = 12.06:
+#: the bisection saves the plain-FFT pass for the product law and Laplace,
+#: whose first (saddle) tilt covers every lag the plain FFT does, and their
+#: later tilts run on short trailing blocks; the normal law's first tilt
+#: does not cover lag 0, so its second tilt is the full-length plain one,
+#: and each of its later tilts covers a narrow band of lags
+TILT_LENGTHS_AT_12_06 = {
+    "normal-product": [2**15, 2**12, 2**6],
+    "laplace": [2**15, 2**12, 2**7],
+    "normal": [2**15] * 4 + [2**14, 2**13, 2**12, 2**8],
+}
 
 
 @pytest.mark.parametrize("law", dist.builtin_density_names())
 def test_builtin_grid_takes_one_spectrum_per_tilt(law, monkeypatch):
     g = dist.discretize(dist.builtin_density(law), 12.06, 2**14)
     _, rfft, irfft = _counting_ffts(monkeypatch, transform.self_difference, g)
-    assert irfft == TILTS_AT_12_06[law]
-    assert rfft == irfft
+    assert irfft == TILT_LENGTHS_AT_12_06[law]
+    assert all(m <= irfft[0] for m in irfft[1:])
+    assert rfft == len(irfft)
+
+
+#: Tilts per self-difference when every tilt ran at the full FFT length
+#: 2n (before later tilts ran on trailing blocks), by (law, cells, L)
+FULL_LENGTH_TILTS = {
+    ("normal-product", 4096, 12.0): 2,
+    ("normal-product", 4096, 48.0): 2,
+    ("normal-product", 2**14, 12.0): 2,
+    ("normal-product", 2**14, 48.0): 2,
+    ("laplace", 4096, 12.0): 2,
+    ("laplace", 4096, 48.0): 2,
+    ("laplace", 2**14, 12.0): 2,
+    ("laplace", 2**14, 48.0): 2,
+    ("normal", 4096, 12.0): 6,
+    ("normal", 4096, 48.0): 15,
+    ("normal", 2**14, 12.0): 7,
+    ("normal", 2**14, 48.0): 15,
+}
+
+
+def test_block_tilts_cut_fft_work(monkeypatch):
+    work = full_length_work = 0.0
+    for (law, cells, half_width), tilts in FULL_LENGTH_TILTS.items():
+        g = dist.discretize(dist.builtin_density(law), half_width, cells)
+        _, _, irfft = _counting_ffts(monkeypatch, transform.self_difference, g)
+        assert irfft[0] == 2 * cells
+        work += _fft_work(irfft)
+        full_length_work += tilts * _fft_work([2 * cells])
+    assert work < 0.8 * full_length_work
 
 
 @pytest.mark.parametrize("law", dist.builtin_density_names())
@@ -182,14 +227,17 @@ def test_fft_correlation_falls_back_to_plain_tilt_on_two_bumps(monkeypatch):
     tilted = transform._tilted
 
     def recording(x, phi):
-        tilts.append(phi)
+        tilts.append((x.size, phi))
         return tilted(x, phi)
 
     monkeypatch.setattr(transform, "_tilted", recording)
-    fft, _, irfft = _counting_ffts(monkeypatch, transform._correlation_sums, v, True)
+    (fft, _), _, irfft = _counting_ffts(monkeypatch, transform._correlation_sums, v, True)
     _assert_relative(fft, np.correlate(v, v, mode="full")[n - 1 :], 1e-12)
-    assert irfft <= 3
-    assert tilts[0] != 0.0 and tilts[1] == 0.0
+    assert len(irfft) == len(tilts) <= 2 * math.log2(n)
+    # the plain tilt follows at full length; only later tilts run on blocks
+    assert tilts[0][0] == n and tilts[0][1] != 0.0
+    assert tilts[1] == (n, 0.0)
+    assert all(size < n for size, _ in tilts[2:])
 
 
 def _log_concave_grid(seed: int, cells: int) -> dist.GridDensity:
@@ -218,6 +266,18 @@ def test_selfdiff_properties_on_random_log_concave_grids(half_cells, seed):
     # discrete Prekopa (Hoggar 1974): the correlation of a log-concave
     # sequence is log-concave
     assert shape.check_log_concavity_grid(sd, 1e-11).holds
+
+
+@pytest.mark.parametrize("law", dist.builtin_density_names())
+def test_selfdiff_of_a_grid_peaking_past_1e153(law):
+    # at half-width 1e-200 the grid peaks near 1e200, so its squares leave
+    # the double range; the self-difference itself (~1/(2L) at 0) does not
+    g = dist.discretize(dist.builtin_density(law), 1e-200, 64)
+    assert g.values.max() > 1e199
+    fft = transform.self_difference(g, use_fft=True)
+    direct = transform.self_difference(g, use_fft=False)
+    _assert_relative(fft.values, direct.values, 1e-12)
+    assert fft.values.max() == pytest.approx(0.5e200, rel=0.05)
 
 
 def test_product_selfdiff_log_concave_far_into_the_tail():
