@@ -222,7 +222,9 @@ class GridDensity:
 
     @property
     def mass(self) -> float:
-        return self.step * float(np.sum(self.values))
+        """h * sum v; inf, without a warning, if the sum leaves the double range."""
+        with np.errstate(over="ignore"):
+            return self.step * float(np.sum(self.values))
 
     @property
     def mass_defect(self) -> float:
@@ -230,13 +232,25 @@ class GridDensity:
         return abs(1.0 - self.raw_mass) if self.raw_mass is not None else 0.0
 
     def normalized(self) -> "GridDensity":
-        """Rescale to unit mass, recording the mass seen beforehand."""
+        """Rescale to unit mass, recording the mass seen beforehand.
+
+        Unit-mass values sum to 1/step, so on grids narrower than about
+        n_cells * 2.8e-309 they leave the double range: a ValueError then.
+        """
         m = self.mass
         if m <= 0.0:
             raise ValueError("cannot normalize a zero-mass grid")
+        with np.errstate(over="ignore"):
+            values = self.values / m
+            total = float(np.sum(values))
+        if not math.isfinite(m) or not math.isfinite(total):
+            raise ValueError(
+                f"grid of half-width {self.half_width:g} with {self.n_cells} cells "
+                "cannot be normalized: its mass or unit-mass values overflow"
+            )
         return GridDensity(
             self.half_width,
-            self.values / m,
+            values,
             raw_mass=m,
             singular_points=self.singular_points,
             trusted_half_width=self.trusted_half_width,
@@ -326,6 +340,13 @@ def discretize(density: AnalyticDensity, half_width: float, n_cells: int) -> Gri
         raise ValueError("half_width is too large: the grid width 2 * half_width overflows")
     if n_cells < 64 or n_cells % 2:
         raise ValueError("n_cells must be even and >= 64")
+    if not math.isfinite(n_cells / (2.0 * half_width)):
+        # unit-mass values sum to 1/h: checked before the law is evaluated
+        # at nodes that subnormal steps no longer keep apart
+        raise ValueError(
+            f"half_width {half_width:g} is too small for {n_cells} cells: "
+            "the unit-mass grid values would overflow"
+        )
     h = 2.0 * half_width / n_cells
     half = n_cells // 2 if density.even else n_cells
     edges = -half_width + h * np.arange(n_cells + 1)

@@ -5,7 +5,9 @@ triples (x_{k-j}, x_k, x_{k+j}) at stride ladder j = 1, 2, 4, 8, ...; the
 multi-scale strides catch violations wider than one cell, and the midpoint
 form avoids the h^-2 noise amplification of raw second differences.  The
 grid check stores NaN as the log value of every uncertified node, so any
-triple touching one has a NaN violation and is skipped.  A failed check
+triple touching one has a NaN violation and is skipped.  It scans only the
+certified span, first to last certified node, and on a span that reads the
+same reversed it visits each mirror pair of triples once.  A failed check
 carries a :class:`Witness` that reproduces the violated inequality on
 re-evaluation; every check picks it by one rule: the largest violation,
 ties to the smallest |midpoint|, then the smallest midpoint.
@@ -112,34 +114,43 @@ def _witness_key(viol, left, right, tol: float, stride: int, shift: int = 0):
 
     ``viol[i]`` (NaN: skipped) belongs to the pair (left[i], right[i]) and
     is keyed as index ``i + shift``; None unless a violation exceeds
-    ``tol``.  ``min`` over the keys of all strides picks the witness.
+    ``tol``.  A ``viol`` shorter than ``left`` is the first half of a
+    palindrome over the pairs, so each maximum recurs at its mirror index.
+    ``min`` over the keys of all strides picks the witness.
     """
     vmax = float(np.fmax.reduce(viol))
     if not vmax > tol:
         return None
     idx = np.flatnonzero(viol == vmax)
+    if viol.size < left.size:
+        idx = np.union1d(idx, left.size - 1 - idx)
     m = 0.5 * (left[idx] + right[idx])
     best = np.lexsort((m, np.abs(m)))[0]
     return (-vmax, abs(float(m[best])), float(m[best]), int(idx[best]) + shift, stride)
 
 
-def _certified_nodes(g: GridDensity) -> np.ndarray:
+def _certified_nodes(g: GridDensity, nodes: np.ndarray) -> np.ndarray:
     """Nodes whose values certify the density on the log scale.
 
     Excludes values at the tail-noise floor, nodes outside a declared
     trusted window (correlation outputs are pure tail-window products
     beyond the input half-width), and the immediate vicinity of declared
-    singular-point images (cell-averaged spike entries).
+    singular-point images (cell-averaged spike entries).  ``nodes`` is
+    ``g.nodes``.
     """
     v = g.values
     floor = TAIL_NOISE_FLOOR * float(v.max(initial=0.0))
     usable = v > floor
-    nodes = g.nodes
-    if g.trusted_half_width is not None:
-        usable &= np.abs(nodes) <= g.trusted_half_width
+    hw = g.trusted_half_width
+    if hw is not None:
+        # the nodes ascend, so |x| <= hw is the index range [a, b)
+        a = int(np.searchsorted(nodes, -hw, side="left"))
+        b = int(np.searchsorted(nodes, hw, side="right"))
+        usable[:a] = usable[b:] = False
         radius = SINGULAR_SKIP_STEPS * g.step
         for s in g.singular_points:
-            usable &= np.abs(nodes - s) >= radius
+            off = np.subtract(nodes[a:b], s)
+            usable[a:b] &= np.abs(off, out=off) >= radius
     return usable
 
 
@@ -151,26 +162,37 @@ def check_log_concavity_grid(g: GridDensity, tol: float) -> ShapeVerdict:
     image) are skipped.  Fails with the maximal-violation witness (ties:
     smallest |midpoint|, then smallest midpoint).  Invariant under positive
     scaling of the values.
+
+    Only the certified span, first to last certified node, is scanned.
+    When its values and certified nodes read the same reversed, every
+    stride's violations form a palindrome (IEEE addition commutes), so
+    each mirror pair is scanned once and its maxima keyed on both sides.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    usable = _certified_nodes(g)
-    if int(usable.sum()) < 3:
-        raise ValueError("fewer than 3 certified nodes")
     nodes = g.nodes
-    n = nodes.size
-    logv = np.log(g.values, out=np.full(n, np.nan), where=usable)
-    buf = np.empty(n - 2)
-    keys = []
-    for j in _strides((n - 1) // 2):
-        viol = buf[: n - 2 * j]
-        np.add(logv[: -2 * j], logv[2 * j :], out=viol)
-        np.multiply(viol, 0.5, out=viol)
-        np.subtract(viol, logv[j:-j], out=viol)
-        keys.append(_witness_key(viol, nodes[: -2 * j], nodes[2 * j :], tol, j, shift=j))
-    best = min(filter(None, keys), default=None)
+    usable = _certified_nodes(g, nodes)
+    if np.count_nonzero(usable) < 3:
+        raise ValueError("fewer than 3 certified nodes")
     hw = g.trusted_half_width
     domain = (-hw, hw) if hw is not None else (float(nodes[0]), float(nodes[-1]))
+    lo = int(usable.argmax())
+    hi = usable.size - int(usable[::-1].argmax())
+    nodes, usable, values = nodes[lo:hi], usable[lo:hi], g.values[lo:hi]
+    size = values.size
+    logv = np.log(values, out=np.full(size, np.nan), where=usable)
+    mirrored = np.array_equal(usable, usable[::-1]) and np.array_equal(values, values[::-1])
+    buf = np.empty((size - 1) // 2 if mirrored else size - 2)
+    keys = []
+    for j in _strides((size - 1) // 2):
+        pairs = size - 2 * j
+        viol = buf[: (pairs + 1) // 2 if mirrored else pairs]
+        count = viol.size
+        np.add(logv[:count], logv[2 * j : 2 * j + count], out=viol)
+        np.multiply(viol, 0.5, out=viol)
+        np.subtract(viol, logv[j : j + count], out=viol)
+        keys.append(_witness_key(viol, nodes[:pairs], nodes[2 * j :], tol, j, shift=j))
+    best = min(filter(None, keys), default=None)
     if best is None:
         return ShapeVerdict(ShapeProperty.LOG_CONCAVE, Outcome.HOLDS, None, tol, domain)
     neg_v, _, m, k, j = best

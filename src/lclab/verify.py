@@ -3,10 +3,11 @@
 Steps run in the order of the underlying argument so a failure localizes
 which numeric counterpart broke: (1) the product density equals
 K0(|x|)/pi against the quadrature oracle, (2) both MGF routes match
-1/sqrt(1-t^2), (3) the difference MGF factorizes to 1/(1-t^2), (4) the
-FFT self-difference matches the Laplace density in sup-node norm, (5) the
-shape verdicts (product fails log-concavity, its self-difference and
-Laplace hold, K0 is log-convex, K0'/K0 increases), and optionally (6) a
+1/sqrt(1-t^2), (3) the difference MGF factorizes to 1/(1-t^2) by both
+routes, (4) the FFT self-difference matches the Laplace density in
+sup-node norm, (5) the shape verdicts (product fails log-concavity, its
+self-difference and Laplace hold, K0 is log-convex and K0'/K0 increases,
+on the default intervals and over the double range), and optionally (6) a
 KS run over the committed seed table.
 """
 
@@ -29,6 +30,8 @@ _CONVEXITY_PROBES = 2048
 _CONVEXITY_TOL = 1e-10
 _RATIO_INTERVAL = (0.1, 20.0)
 _RATIO_PROBES = 512
+#: K0 from deep in its log singularity to just short of its underflow
+_DOUBLE_RANGE_INTERVAL = (1e-300, 700.0)
 _MC_ALPHA = 0.001
 
 
@@ -89,15 +92,24 @@ def _mgf_table(tol_mgf: float) -> dict[float, float]:
     return {t: transform.mgf_via_density(product, t, tol_mgf).value for t in sorted(ts)}
 
 
-def _mgf_identity_step(tol_mgf: float, mgf: dict[float, float]) -> StepResult:
+def _conditioning_table(tol_mgf: float) -> dict[float, float]:
+    """Gaussian-conditioning M(t), once per distinct |t| of steps 2-3.
+
+    The route sees t only through t^2, so M(-t) is M(t) bit for bit.
+    """
+    ts = {abs(t) for t in _MGF_T + _FACTORIZATION_T}
+    return {t: transform.mgf_via_conditioning(t, tol_mgf).value for t in sorted(ts)}
+
+
+def _mgf_identity_step(
+    tol_mgf: float, mgf: dict[float, float], conditioning: dict[float, float]
+) -> StepResult:
     worst_density = 0.0
     worst_conditioning = 0.0
     for t in _MGF_T:
         closed = 1.0 / math.sqrt(1.0 - t * t)
         worst_density = max(worst_density, abs(mgf[t] - closed))
-        worst_conditioning = max(
-            worst_conditioning, abs(transform.mgf_via_conditioning(t, tol_mgf).value - closed)
-        )
+        worst_conditioning = max(worst_conditioning, abs(conditioning[abs(t)] - closed))
     passed = worst_density <= tol_mgf and worst_conditioning <= tol_mgf
     return StepResult(
         "mgf-identity",
@@ -110,15 +122,25 @@ def _mgf_identity_step(tol_mgf: float, mgf: dict[float, float]) -> StepResult:
     )
 
 
-def _mgf_factorization_step(mgf: dict[float, float]) -> StepResult:
+def _mgf_factorization_step(
+    mgf: dict[float, float], conditioning: dict[float, float]
+) -> StepResult:
+    """M(t) M(-t) against 1/(1 - t^2), by the density and the conditioning route."""
     worst = 0.0
+    worst_conditioning = 0.0
     for t in _FACTORIZATION_T:
         closed = transform.mgf_difference_closed_form(t).value
         worst = max(worst, abs(mgf[t] * mgf[-t] - closed))
+        m = conditioning[abs(t)]
+        worst_conditioning = max(worst_conditioning, abs(m * m - closed))
     return StepResult(
         "mgf-factorization",
-        worst <= _FACTORIZATION_TOL,
-        {"max_abs_err": worst, "tol": _FACTORIZATION_TOL},
+        worst <= _FACTORIZATION_TOL and worst_conditioning <= _FACTORIZATION_TOL,
+        {
+            "max_abs_err": worst,
+            "max_abs_err_conditioning_route": worst_conditioning,
+            "tol": _FACTORIZATION_TOL,
+        },
     )
 
 
@@ -137,19 +159,32 @@ def _shape_step(
     laplace_grid: dist.GridDensity,
     tol_shape: float,
 ) -> StepResult:
+    """The grid verdicts, then K0 log-convex and K0'/K0 increasing.
+
+    K0(x) = int_1^inf exp(-x s) (s^2 - 1)^(-1/2) ds is the Laplace transform
+    of a positive measure, so Cauchy-Schwarz makes it log-convex on all of
+    x > 0.  Both K0 checks therefore run on the default intervals and again
+    over the double range, from 1e-300 to 700, where K0 is still normal.
+    """
     product_verdict = shape.check_log_concavity_grid(product_grid, tol_shape)
     diff_verdict = shape.check_log_concavity_grid(diff, tol_shape)
     laplace_verdict = shape.check_log_concavity_grid(laplace_grid, tol_shape)
     convex = shape.check_log_convexity_interval(
         specfun.k0_values, *_CONVEXITY_INTERVAL, _CONVEXITY_PROBES, _CONVEXITY_TOL
     )
+    convex_wide = shape.check_log_convexity_interval(
+        specfun.k0_values, *_DOUBLE_RANGE_INTERVAL, _CONVEXITY_PROBES, _CONVEXITY_TOL
+    )
     ratio = shape.check_ratio_monotonicity(*_RATIO_INTERVAL, _RATIO_PROBES)
+    ratio_wide = shape.check_ratio_monotonicity(*_DOUBLE_RANGE_INTERVAL, _RATIO_PROBES)
     passed = (
         not product_verdict.holds
         and diff_verdict.holds
         and laplace_verdict.holds
         and convex.holds
         and ratio.holds
+        and convex_wide.holds
+        and ratio_wide.holds
     )
     metrics = {
         "product_fails": float(not product_verdict.holds),
@@ -157,6 +192,8 @@ def _shape_step(
         "laplace_holds": float(laplace_verdict.holds),
         "k0_log_convex_holds": float(convex.holds),
         "k_ratio_increasing_holds": float(ratio.holds),
+        "k0_log_convex_double_range_holds": float(convex_wide.holds),
+        "k_ratio_increasing_double_range_holds": float(ratio_wide.holds),
         "tol_shape": tol_shape,
         "tol_convexity": _CONVEXITY_TOL,
     }
@@ -204,11 +241,12 @@ def run_verification(
     laplace_grid = dist.discretize(dist.laplace(), half_width, n_cells)
     diff = transform.self_difference(product_grid)
     mgf = _mgf_table(tol_mgf)
+    conditioning = _conditioning_table(tol_mgf)
 
     steps = [
         _density_identity_step(),
-        _mgf_identity_step(tol_mgf, mgf),
-        _mgf_factorization_step(mgf),
+        _mgf_identity_step(tol_mgf, mgf, conditioning),
+        _mgf_factorization_step(mgf, conditioning),
         _laplace_identification_step(diff),
         _shape_step(product_grid, diff, laplace_grid, tol_shape),
     ]

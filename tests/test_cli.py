@@ -229,6 +229,15 @@ def test_verify_theorem_report_schema(tmp_path, capsys):
     assert metrics["laplace-identification"]["sup_node_distance"] == pytest.approx(
         8.43e-4, rel=0.2
     )
+    assert set(metrics["mgf-factorization"]) == {
+        "max_abs_err", "max_abs_err_conditioning_route", "tol",
+    }
+    assert set(metrics["shape-verdicts"]) == {
+        "product_fails", "self_difference_holds", "laplace_holds",
+        "k0_log_convex_holds", "k_ratio_increasing_holds",
+        "k0_log_convex_double_range_holds", "k_ratio_increasing_double_range_holds",
+        "tol_shape", "tol_convexity", "product_witness_violation", "product_witness_m",
+    }
     assert metrics["shape-verdicts"]["product_fails"] == 1.0
     assert metrics["shape-verdicts"]["product_witness_violation"] == pytest.approx(
         1.0912, rel=1e-3
@@ -272,3 +281,27 @@ def test_density_overflowing_half_width_exits_1(law):
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("law", ["laplace", "normal-product", "normal"])
+@pytest.mark.parametrize("half_width", ["1e-300", "1e-306", "1e-308", "1e-310"])
+@pytest.mark.parametrize("cells", ["64", "4096"])
+def test_density_tiny_half_width_is_unit_mass_or_exits_1(law, half_width, cells, tmp_path, capsys):
+    # unit-mass values sum to 1/step, past the double range below ~cells * 2.8e-309;
+    # a grid either comes out of density and selfdiff with unit mass or is one
+    # clean error (warnings are errors under pytest, so none may leak)
+    grid_path = tmp_path / "grid.csv"
+    code, _, err = run_cli(
+        capsys, "density", "--law", law, "--half-width", half_width, "--cells", cells,
+        "--out", str(grid_path),
+    )
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert not grid_path.exists()
+        return
+    assert code == 0
+    assert dist.GridDensity.from_csv(grid_path.read_text()).mass == pytest.approx(1.0, abs=1e-12)
+    code, out, err = run_cli(capsys, "selfdiff", "--in", str(grid_path))
+    assert code == 0, err
+    assert dist.GridDensity.from_csv(out).mass == pytest.approx(1.0, abs=1e-12)

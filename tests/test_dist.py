@@ -253,6 +253,14 @@ def test_grid_validation():
         dist.GridDensity(1.0, np.array([1.0, 2.0]), trusted_half_width=2.0)
 
 
+def test_normalized_rejects_overflow():
+    # unit-mass values sum to 1/step = 3.2e309 here; a raw mass of inf
+    # would scale every value to 0
+    for g in (dist.GridDensity(1e-308, np.ones(64)), dist.GridDensity(1.0, np.full(64, 1e308))):
+        with pytest.raises(ValueError, match="cannot be normalized"):
+            g.normalized()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=32, max_value=400))
 def test_normalized_mass_is_one(ncells_half):

@@ -87,6 +87,13 @@ def test_k0_log_convexity_interval():
     assert verdict.property is ShapeProperty.LOG_CONVEX_ON_INTERVAL
 
 
+def test_k0_checks_hold_over_the_double_range():
+    # K0 is a Laplace transform of a positive measure, log-convex on all of x > 0
+    a, b = 1e-300, 700.0
+    assert shape.check_log_convexity_interval(k0_values, a, b, 2048, 1e-10).holds
+    assert shape.check_ratio_monotonicity(a, b, 512).holds
+
+
 def test_k0_convexity_probe_triple():
     # K0(1)^2 <= K0(0.5) K0(1.5): the pointwise form of midpoint convexity
     assert K0_1_SQUARED < K0_HALF_TIMES_K0_1P5
@@ -158,9 +165,20 @@ def test_grid_witness_tie_prefers_negative_midpoint_then_smallest_stride():
     assert w.violation == math.log(2.0)
 
 
+def _reference_certified_nodes(g):
+    # the certification rule written out node by node over the whole grid
+    nodes = g.nodes
+    usable = g.values > shape.TAIL_NOISE_FLOOR * g.values.max()
+    if g.trusted_half_width is not None:
+        usable &= np.abs(nodes) <= g.trusted_half_width
+        for s in g.singular_points:
+            usable &= np.abs(nodes - s) >= shape.SINGULAR_SKIP_STEPS * g.step
+    return usable
+
+
 def _reference_witness_key(g, tol):
     # per-triple loop over every stride: the rule the vectorised check follows
-    usable = shape._certified_nodes(g)
+    usable = _reference_certified_nodes(g)
     logv = np.log(np.where(usable, g.values, 1.0))
     nodes = g.nodes
     n = nodes.size
@@ -177,16 +195,9 @@ def _reference_witness_key(g, tol):
     return min(keys, default=None)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_grid_witness_matches_per_triple_loop(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.choice([8, 16, 30, 64]))
-    values = rng.choice([0.0, 0.5, 1.0, 2.0], n) if seed % 2 else rng.random(n)
-    if seed % 4 == 3:
-        values[n // 2 :] = values[: n // 2][::-1]
-    g = dist.GridDensity(3.0, values)
-    verdict = shape.check_log_concavity_grid(g, 1e-9)
-    key = _reference_witness_key(g, 1e-9)
+def _assert_matches_reference(g, tol):
+    verdict = shape.check_log_concavity_grid(g, tol)
+    key = _reference_witness_key(g, tol)
     assert verdict.holds == (key is None)
     if key is not None:
         neg_v, _, m, k, j = key
@@ -195,16 +206,110 @@ def test_grid_witness_matches_per_triple_loop(seed):
         assert (w.midpoint, w.violation) == (m, -neg_v)
 
 
+def _random_grid(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([8, 16, 30, 64]))
+    values = rng.choice([0.0, 0.5, 1.0, 2.0], n) if seed % 2 else rng.random(n)
+    if seed % 4 == 3:
+        values[n // 2 :] = values[: n // 2][::-1]
+    return dist.GridDensity(3.0, values)
+
+
+def _rng():
+    return np.random.default_rng(7)
+
+
+def _mirrored(values):
+    values[values.size // 2 :] = values[: values.size // 2][::-1]
+    return values
+
+
+def _dented(n, dents):
+    values = np.ones(n)
+    values[list(dents)] = 0.5
+    return values
+
+
+def _bumped_gaussian(n, half_width, at):
+    nodes = dist.GridDensity(half_width, np.ones(n)).nodes
+    values = np.exp(-0.5 * nodes**2)
+    values[nodes == at] *= 10.0
+    return values
+
+
+# L = 99.21396298681813 with 1272 cells: mirrored node pairs do not sum to
+# exactly 0, so the midpoints of mirrored triples differ by an ulp
+_OFF_CENTRE = 99.21396298681813
+_GRIDS = {str(seed): (lambda seed=seed: _random_grid(seed)) for seed in range(8)}
+_GRIDS.update({
+    # every value from three levels: ties across the mirror at most strides
+    "mirrored-ties": lambda: dist.GridDensity(3.0, _mirrored(_rng().choice([0.5, 1.0, 2.0], 64))),
+    "mirrored-dents": lambda: dist.GridDensity(4.0, _dented(40, (9, 30))),
+    # a singular band at 0 and a window edge on the nodes +-2.9375: a
+    # mirrored NaN pattern
+    "mirrored-window-singular-band": lambda: dist.GridDensity(
+        4.0, _mirrored(_rng().random(64)), singular_points=(0.0,), trusted_half_width=2.9375
+    ),
+    # log-concave but for one of the nodes +-2.9375 that close the window
+    "window-edge-left": lambda: dist.GridDensity(
+        4.0, _bumped_gaussian(64, 4.0, -2.9375), trusted_half_width=2.9375
+    ),
+    "window-edge-right": lambda: dist.GridDensity(
+        4.0, _bumped_gaussian(64, 4.0, 2.9375), trusted_half_width=2.9375
+    ),
+    "mirrored-singular-pair": lambda: dist.GridDensity(
+        4.0,
+        _mirrored(_rng().choice([0.5, 1.0, 2.0], 64)),
+        singular_points=(-1.0625, 1.0625),
+        trusted_half_width=4.0,
+    ),
+    # even values, but a singular band hides only the left dent: the NaN
+    # pattern is not mirrored and the witness is the right dent
+    "mirrored-values-one-band": lambda: dist.GridDensity(
+        4.0, _dented(64, (20, 43)), singular_points=(-1.4375,), trusted_half_width=4.0
+    ),
+    # the tail floor cuts the span to [5, 59): mirrored inside, not outside
+    "tail-floor-mirrored-span": lambda: dist.GridDensity(
+        3.0, np.concatenate([np.zeros(5), _mirrored(_rng().random(54)), np.full(5, 1e-20)])
+    ),
+    "tail-floor-off-centre-span": lambda: dist.GridDensity(
+        3.0, np.concatenate([np.zeros(3), _mirrored(_rng().random(54)), np.zeros(7)])
+    ),
+    "off-centre-dents": lambda: dist.GridDensity(_OFF_CENTRE, _dented(1272, (300, 971))),
+    # here the right-hand triple of a mirrored tie has the smaller |midpoint|
+    "off-centre-dents-right-wins": lambda: dist.GridDensity(7.3, _dented(64, (3, 60))),
+    "off-centre-product": lambda: dist.discretize(dist.normal_product(), _OFF_CENTRE, 1272),
+    "off-centre-product-selfdiff": lambda: transform.self_difference(
+        dist.discretize(dist.normal_product(), _OFF_CENTRE, 128)
+    ),
+    "uneven": lambda: dist.GridDensity(
+        3.0, _rng().random(64), singular_points=(0.7,), trusted_half_width=2.5
+    ),
+    "uneven-ties": lambda: dist.GridDensity(3.0, _rng().choice([0.5, 1.0, 2.0], 30)),
+})
+
+
+@pytest.mark.parametrize("case", list(_GRIDS))
+def test_grid_witness_matches_per_triple_loop(case):
+    # the check scans only the certified span and, where the span reads the
+    # same reversed, each mirror pair once: no verdict or witness may move
+    g = _GRIDS[case]()
+    for tol in (1e-9, 1e-3):
+        _assert_matches_reference(g, tol)
+
+
 def test_grid_check_memory_is_about_three_value_arrays():
-    diff = transform.self_difference(dist.discretize(dist.normal_product(), 12.0, 2**18))
-    tracemalloc.start()
-    try:
-        verdict = shape.check_log_concavity_grid(diff, 1e-9)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert verdict.holds
-    assert peak <= 3.5 * diff.values.nbytes
+    grid = dist.discretize(dist.normal_product(), 12.0, 2**18)
+    diff = transform.self_difference(grid)
+    for g, holds in ((grid, False), (diff, True)):
+        tracemalloc.start()
+        try:
+            verdict = shape.check_log_concavity_grid(g, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds == holds
+        assert peak <= 3.5 * g.values.nbytes
 
 
 def test_interval_check_argument_validation():

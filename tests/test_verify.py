@@ -5,17 +5,34 @@ from lclab import dist, transform, verify
 
 def test_run_verification_integrates_each_mgf_once_per_t(monkeypatch):
     calls = []
+    conditioning_calls = []
     direct = transform.mgf_via_density
+    conditioning = transform.mgf_via_conditioning
 
     def counting(density, t, tol=1e-10):
         calls.append(t)
         return direct(density, t, tol)
 
+    def counting_conditioning(t, tol=1e-10):
+        conditioning_calls.append(t)
+        return conditioning(t, tol)
+
     monkeypatch.setattr(transform, "mgf_via_density", counting)
+    monkeypatch.setattr(transform, "mgf_via_conditioning", counting_conditioning)
     report = verify.run_verification()
     assert report.overall
     assert len(calls) == 13
     assert len(set(calls)) == 13
+    # the conditioning route is even in t: one quadrature per distinct |t|
+    assert sorted(conditioning_calls) == [0.0, 0.1, 0.25, 0.3, 0.5, 0.8, 0.9]
+
+
+def test_conditioning_route_is_even_bit_for_bit():
+    for t in (0.1, 0.25, 0.3, 0.5, 0.8, 0.9):
+        assert (
+            transform.mgf_via_conditioning(t, 1e-8).value
+            == transform.mgf_via_conditioning(-t, 1e-8).value
+        )
 
 
 def test_mgf_steps_equal_direct_uncached_evaluation():
@@ -27,18 +44,21 @@ def test_mgf_steps_equal_direct_uncached_evaluation():
     def m(t):
         return transform.mgf_via_density(product, t, tol).value
 
+    def c(t):
+        return transform.mgf_via_conditioning(t, tol).value
+
     worst_density = 0.0
     worst_conditioning = 0.0
     for t in verify._MGF_T:
         closed = 1.0 / math.sqrt(1.0 - t * t)
         worst_density = max(worst_density, abs(m(t) - closed))
-        worst_conditioning = max(
-            worst_conditioning, abs(transform.mgf_via_conditioning(t, tol).value - closed)
-        )
+        worst_conditioning = max(worst_conditioning, abs(c(t) - closed))
     worst_product = 0.0
+    worst_conditioning_product = 0.0
     for t in verify._FACTORIZATION_T:
         closed = transform.mgf_difference_closed_form(t).value
         worst_product = max(worst_product, abs(m(t) * m(-t) - closed))
+        worst_conditioning_product = max(worst_conditioning_product, abs(c(t) * c(-t) - closed))
     expected = [
         {
             "step_name": "mgf-identity",
@@ -52,8 +72,23 @@ def test_mgf_steps_equal_direct_uncached_evaluation():
         {
             "step_name": "mgf-factorization",
             "status": "pass",
-            "metrics": {"max_abs_err": worst_product, "tol": verify._FACTORIZATION_TOL},
+            "metrics": {
+                "max_abs_err": worst_product,
+                "max_abs_err_conditioning_route": worst_conditioning_product,
+                "tol": verify._FACTORIZATION_TOL,
+            },
         },
     ]
     report = verify.run_verification(tol_mgf=tol).as_dict()
     assert report["steps"][1:3] == expected
+
+
+def test_factorization_step_needs_both_routes():
+    tol = 1e-8
+    mgf = verify._mgf_table(tol)
+    conditioning = verify._conditioning_table(tol)
+    assert verify._mgf_factorization_step(mgf, conditioning).passed
+    # M(t)^2 is off by about 2e-6 when M(t) is off by 1e-6
+    off = verify._mgf_factorization_step(mgf, {t: v + 1e-6 for t, v in conditioning.items()})
+    assert not off.passed
+    assert off.metrics["max_abs_err_conditioning_route"] > verify._FACTORIZATION_TOL
