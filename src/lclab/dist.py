@@ -217,8 +217,12 @@ class GridDensity:
 
     @property
     def nodes(self) -> np.ndarray:
-        h = self.step
-        return -self.half_width + (np.arange(self.n_cells) + 0.5) * h
+        """Cell midpoints -L + (i + 1/2) h, built in place in one array."""
+        x = np.arange(self.n_cells, dtype=float)
+        x += 0.5
+        x *= self.step
+        x += -self.half_width
+        return x
 
     @property
     def mass(self) -> float:

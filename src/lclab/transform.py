@@ -21,17 +21,17 @@ relative error bound from the FFT's absolute bound (see
 ``_FFT_ERROR_BOUND``); each keeps the value of its best tilt, and the few
 largest lags that no tilt brings under ``_REL_TARGET`` -- sums of a
 handful of products of the values' end blocks -- are summed directly.
-No plain-FFT pass is spent on finding where the plain FFT stops being
-accurate: a bisection on about log2 n exact lag sums finds that lag, and
-the first tilt is the one centred on it; only if that tilt leaves a
-smaller lag short (for the normal law, or a correlation that rises again)
-does the plain FFT follow.  These first tilts run on the full length, each
-O(n log n).  Every later tilt only fixes the trailing block of R lags from
-the first one still short, which depend on R values at each end, so it
-runs on those alone in O(R log R).
-Each tilt transforms the values and their reverse; an exactly even grid,
-such as ``dist.discretize`` builds for every built-in law, needs one
-spectrum per tilt instead of two.
+A bisection on about log2 n exact lag sums finds where the plain FFT
+stops being accurate, and the first tilt is centred there; the plain tilt
+follows only if that one leaves a smaller lag short.  These first tilts
+cost O(n log n); every later tilt fixes only the trailing block of R lags
+still short, from the R values at each end, in O(R log R).  Each tilt's
+phi comes from a saddle-point solve on at most 4096 log-sum-exp bins of
+its block, O(4096) per Newton step at any size: phi only steers which
+lags a tilt makes accurate, and the bound certifies every sum.  Lags with
+no nonzero product (a comb's) are set to an exact 0 once the tilts stall.
+An exactly even grid, such as ``dist.discretize`` builds for every
+built-in law, needs one spectrum per tilt instead of two.
 
 MGFs are evaluated by two independent numeric routes so the Bessel-backed
 density code is never certified by itself: direct exp-tilted quadrature of
@@ -76,6 +76,9 @@ _TILT_QUANTUM = 2.0**-30
 #: under 2^1014, where undoing a tilt is exact.
 _PEAK_LIMIT = 2.0**496
 
+#: A saddle solve weighs at most this many bins of a block (``_saddle_tilt``).
+_SADDLE_BINS = 4096
+
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _MASS_TOL = 1e-6
@@ -106,13 +109,34 @@ def _log2(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _saddle_bins(log2x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and log2 root-sum-squares of at most ``_SADDLE_BINS`` runs of x.
+
+    A log-sum-exp from each run's largest entry loses no nonzero entry; runs
+    of one entry are the indices and log2 x themselves.
+    """
+    s = log2x.size
+    width = -(-s // _SADDLE_BINS)
+    starts = np.arange(0, s, width)
+    if width == 1:
+        return starts.astype(float), log2x
+    # a run of zeros gets a finite top, so it sums to 0 instead of inf - inf
+    top = np.maximum(np.maximum.reduceat(log2x, starts), -1100.0)
+    t = np.repeat(top, width)[:s]
+    np.subtract(log2x, t, out=t)
+    t *= 2.0
+    np.exp2(t, out=t)
+    top += 0.5 * _log2(np.add.reduceat(t, starts))
+    return 0.5 * (starts + np.minimum(starts + width, s) - 1.0), top
+
+
 def _tilt_moments(
     log2x: np.ndarray, phi: float, i: np.ndarray, w: np.ndarray, d: np.ndarray
 ) -> tuple[float, float]:
     """Mean and variance of the index i under the weights (x_i 2^(phi i))^2.
 
-    ``i`` holds the indices as floats; ``w`` and ``d`` are scratch vectors
-    of the same size, reused over the Newton steps of a saddle solve.
+    ``i`` holds the indices (bin centres) as floats; ``w`` and ``d`` are
+    scratch vectors of its size, reused over the steps of a saddle solve.
     """
     np.multiply(i, phi, out=w)
     w += log2x
@@ -126,7 +150,7 @@ def _tilt_moments(
     return mean, float(w @ d) / total
 
 
-def _saddle_tilt(x: np.ndarray, y: np.ndarray | None, k: int, phi: float) -> float:
+def _saddle_tilt(a: tuple, b: tuple | None, k: int, phi: float) -> float:
     """The tilt that centres the products of output entry k.
 
     For the tilted factors a = x 2^(phi i), b = y 2^(phi i) the relative
@@ -134,11 +158,15 @@ def _saddle_tilt(x: np.ndarray, y: np.ndarray | None, k: int, phi: float) -> flo
     of a^2 and b^2 add up to k.  Newton's method on that increasing
     function of phi, kept inside a bracket, stops within one standard
     deviation of the tilted spread: the bound is flat that close to its
-    minimum.  ``y`` None means y = x.
+    minimum.  The moments are taken over at most ``_SADDLE_BINS`` bins at
+    their centres (``_saddle_bins``), so a step costs O(4096) at any size
+    and phi may be off by a bin width: that only moves the lags a tilt
+    makes accurate, as every sum is certified by its own error bound.
+    ``a`` and ``b`` are (x, log2 x) pairs; ``b`` None means y = x.
     """
-    log2x = _log2(x)
-    log2y = None if y is None else _log2(y)
-    scratch = np.arange(x.size, dtype=float), np.empty(x.size), np.empty(x.size)
+    i, log2x = _saddle_bins(a[1])
+    log2y = None if b is None else _saddle_bins(b[1])[1]
+    scratch = i, np.empty(i.size), np.empty(i.size)
     lo, hi = -math.inf, math.inf
     for _ in range(64):
         mean, spread = _tilt_moments(log2x, phi, *scratch)
@@ -160,7 +188,7 @@ def _saddle_tilt(x: np.ndarray, y: np.ndarray | None, k: int, phi: float) -> flo
     return round(phi / _TILT_QUANTUM) * _TILT_QUANTUM
 
 
-def _tilted(x: np.ndarray, phi: float) -> tuple[np.ndarray, int, int]:
+def _tilted(x: np.ndarray, log2x: np.ndarray, phi: float) -> tuple[np.ndarray, int, int]:
     """x_i 2^(phi (i - j) - e) with peak in [1, 2); returns it with j and e.
 
     j is where the tilted vector peaks and 2^e the peak's binade, so the
@@ -171,7 +199,7 @@ def _tilted(x: np.ndarray, phi: float) -> tuple[np.ndarray, int, int]:
     """
     t = np.arange(x.size, dtype=float)
     t *= phi
-    t += _log2(x)
+    t += log2x
     j = int(np.argmax(t))
     e = math.floor(math.log2(x[j]))
     t = np.arange(-j, x.size - j, dtype=float)
@@ -218,9 +246,27 @@ def _tilt_cost(r: int) -> float:
     return m * math.log2(m)
 
 
+def _first_short(quality: np.ndarray) -> int:
+    """First entry whose quality is short of ``_REL_TARGET`` (its size if none)."""
+    bad = quality < 1.0 / _REL_TARGET
+    return int(np.argmax(bad)) if bad.any() else quality.size
+
+
+def _zero_lags(v: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the lags of v with no nonzero product, by a length-m FFT pair.
+
+    The pair counts each lag's products of entries of v > 0; rounding the
+    counts is exact, as they are integers up to n and their round-off is
+    far below 0.5.
+    """
+    spec = np.fft.rfft(v > 0.0, m)
+    spec *= spec.conj()
+    return np.fft.irfft(spec, m)[: v.size] < 0.5
+
+
 def _tilt_pass(
-    a: np.ndarray,
-    b: np.ndarray | None,
+    a: tuple,
+    b: tuple | None,
     phi: float,
     out: np.ndarray,
     quality: np.ndarray,
@@ -228,24 +274,24 @@ def _tilt_pass(
 ) -> int:
     """Fold one tilt of entries R-1 .. 2R-2 of ``conv(a, b)`` into ``out``.
 
-    a and b have R entries (``b`` None means b = a: one spectrum serves
-    both).  Entry R-1+d replaces ``out[d]`` where its ratio to its error
-    bound beats ``quality[d]``; ``work`` holds at least ``_fft_length(R)``
-    entries.  Returns the first d still short of ``_REL_TARGET`` (R if none).
+    a and b are (x, log2 x) pairs of R-vectors (``b`` None: b = a, one
+    spectrum serves both).  Entry R-1+d replaces ``out[d]`` where its ratio
+    to its error bound beats ``quality[d]``; ``work`` holds at least
+    ``_fft_length(R)`` entries.  Returns ``_first_short(quality)``.
     """
-    r = a.size
+    r = a[0].size
     size = 2 * r - 1
     m = _fft_length(r)
     work = work[:m]  # the zero-padded factors, then their convolution
     work[r:] = 0.0
-    work[:r], ja, ea = _tilted(a, phi)
+    work[:r], ja, ea = _tilted(*a, phi)
     norm_a = math.sqrt(float(work[:r] @ work[:r]))
     spec = np.fft.rfft(work)
     if b is None:
         jb, eb, norm_b = ja, ea, norm_a
         spec *= spec
     else:
-        work[:r], jb, eb = _tilted(b, phi)
+        work[:r], jb, eb = _tilted(*b, phi)
         norm_b = math.sqrt(float(work[:r] @ work[:r]))
         spec *= np.fft.rfft(work)
     conv = np.fft.irfft(spec, m, out=work)[r - 1 : size]
@@ -260,15 +306,13 @@ def _tilt_pass(
     np.exp2(scale, out=scale)
     scale *= conv
     conv *= 1.0 / bound
-    wanted = 1.0 / _REL_TARGET
-    np.maximum(conv, wanted, out=conv, where=subnormal)
+    np.maximum(conv, 1.0 / _REL_TARGET, out=conv, where=subnormal)
     del subnormal
     better = conv > quality
     np.copyto(out, scale, where=better)
     np.copyto(quality, conv, where=better)
     del scale, conv, better
-    bad = quality < wanted
-    return int(np.argmax(bad)) if bad.any() else r
+    return _first_short(quality)
 
 
 def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
@@ -294,7 +338,15 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     saddle tilt of lag s for that pair, with its own FFT length, error
     bound and saddle solve, O(R log R).  Tilts stop once the block left
     costs no more to sum directly than a tilt of it, or the last tilt saved
-    less direct work than that; that end block is summed directly.
+    less direct work than that; that end block is summed directly.  Every
+    saddle solve and tilt reads slices of one log2 v.
+
+    A lag whose sum is exactly zero (a comb's) never gets under the bound,
+    as the FFT's absolute round-off sits on it.  So the first time the
+    tilts stall (a tilt saved too little, or the first left a lag below d0
+    short) while the block left costs more than a tilt and v has a zero,
+    ``_zero_lags`` sets every lag without a nonzero product to an exact 0,
+    and tilting goes on from the first lag still short.
 
     An entry's relative error bound is the FFT bound over the tilted entry;
     an entry whose absolute bound falls below ``_REL_TARGET`` times the
@@ -304,6 +356,8 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     n = v.size
     w = v[::-1]
     even = np.array_equal(v, w)
+    log2v = _log2(v)
+    log2w = log2v[::-1]
     m = _fft_length(n)
     out = np.zeros(n)
     quality = np.zeros(n, dtype=np.float32)  # entry / its error bound
@@ -311,23 +365,30 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     floor = _FFT_ERROR_BOUND * _EPS * math.log2(m) * float(v @ v) * (1.0 / _REL_TARGET)
     d0 = _first_short_lag(v, floor)
     last = n - d0
-    a, b = v, None if even else w  # the block of the next tilt
+    a, b = (v, log2v), None if even else (w, log2w)  # the block of the next tilt
     if last * last <= _tilt_cost(last):
         phi, last, d0 = 0.0, None, 0
     else:
         phi = _saddle_tilt(a, b, 2 * n - 1 - last, 0.0)
     short = 0
+    zero = None
     while True:
         short += _tilt_pass(a, b, phi, out[short:], quality[short:], work)
+        r = n - short
+        stalled = last is not None and last * last - r * r <= _tilt_cost(r)
+        if stalled and zero is None and r * r > _tilt_cost(r) and not v.all():
+            zero = _zero_lags(v, m)
+            out[zero], quality[zero] = 0.0, np.inf
+            short = _first_short(quality)
+            r = n - short
+            stalled = last * last - r * r <= _tilt_cost(r)
         if short < d0:
             # the first tilt left a lag of the plain FFT's range short
             phi, last, d0, short = 0.0, None, 0, 0
             continue
-        r = n - short
-        cost = _tilt_cost(r)
-        if r * r <= cost or (last is not None and last * last - r * r <= cost):
+        if stalled or r * r <= _tilt_cost(r):
             break
-        a, b = v[short:], None if even else w[short:]
+        a, b = (v[short:], log2v[short:]), None if even else (w[short:], log2w[short:])
         phi = _saddle_tilt(a, b, r - 1, phi)
         last = r
     if r:
@@ -352,9 +413,9 @@ def _correlation_sums(v: np.ndarray, use_fft: bool) -> tuple[np.ndarray, int]:
         v = np.ldexp(v, -k)
     if not use_fft:
         return np.correlate(v, v, mode="full")[n - 1 :], k
-    nz = np.flatnonzero(v)
-    lo, hi = int(nz[0]), int(nz[-1]) + 1
-    del nz
+    positive = v > 0.0
+    lo, hi = int(np.argmax(positive)), n - int(np.argmax(positive[::-1]))
+    del positive
     if hi - lo == n:
         return _tilted_autocorrelation(v), k
     out = np.zeros(n)

@@ -173,6 +173,16 @@ def test_grid_nodes_exclude_origin(product_grid):
     assert product_grid.step == pytest.approx(2 * 12.0 / 4096)
 
 
+@pytest.mark.parametrize("cells", [64, 1000, 4096, 2**18])
+@pytest.mark.parametrize("half_width", [1e-300, 1e-100, 1.0, 12.06, 1e100, 1e300])
+def test_grid_nodes_bit_identical_to_the_plain_formula(cells, half_width):
+    # nodes are built in place in one array; the bits are those of the
+    # expression of the midpoints with its temporaries
+    g = dist.GridDensity(half_width, np.ones(cells))
+    expected = -g.half_width + (np.arange(cells) + 0.5) * g.step
+    assert np.array_equal(g.nodes, expected)
+
+
 def test_moments(product_grid, laplace_grid):
     assert dist.moment(product_grid, 2) == pytest.approx(1.0, abs=2e-3)
     assert dist.moment(laplace_grid, 2) == pytest.approx(2.0, abs=2e-3)

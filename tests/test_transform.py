@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,7 +128,12 @@ def _fft_work(lengths):
     return sum(m * math.log2(m) for m in lengths)
 
 
-@pytest.mark.parametrize("cells", [64, 1000, 4096, 2**14])
+#: Most tilts a skewed input of each size may take: the counts when every
+#: saddle solve weighed each entry, which the binned solves must not exceed
+SKEWED_MAX_TILTS = {64: 1, 1000: 4, 4096: 4, 2**14: 6, 2**16: 7}
+
+
+@pytest.mark.parametrize("cells", sorted(SKEWED_MAX_TILTS))
 def test_fft_selfdiff_relative_accuracy_on_skewed_input(cells, monkeypatch):
     # a skewed grid takes the two-spectrum path (values and their reverse)
     rng = np.random.default_rng(cells)
@@ -140,7 +146,7 @@ def test_fft_selfdiff_relative_accuracy_on_skewed_input(cells, monkeypatch):
     assert rfft == 2 * len(irfft)
     # each later tilt must earn its block's FFTs: block tilts under a stop
     # rule priced at the full FFT length once took 70 tilts on such input
-    assert 0 < len(irfft) <= 2 * math.log2(cells)
+    assert 0 < len(irfft) <= SKEWED_MAX_TILTS[cells]
 
 
 #: FFT lengths of the tilts of a self-difference at 2^14 cells, L = 12.06:
@@ -183,7 +189,12 @@ FULL_LENGTH_TILTS = {
 }
 
 
+def _no_zero_lags(v):
+    raise AssertionError("a grid without interior zeros looked for zero lags")
+
+
 def test_block_tilts_cut_fft_work(monkeypatch):
+    monkeypatch.setattr(transform, "_zero_lags", _no_zero_lags)
     work = full_length_work = 0.0
     for (law, cells, half_width), tilts in FULL_LENGTH_TILTS.items():
         g = dist.discretize(dist.builtin_density(law), half_width, cells)
@@ -226,18 +237,102 @@ def test_fft_correlation_falls_back_to_plain_tilt_on_two_bumps(monkeypatch):
     tilts = []
     tilted = transform._tilted
 
-    def recording(x, phi):
+    def recording(x, log2x, phi):
         tilts.append((x.size, phi))
-        return tilted(x, phi)
+        return tilted(x, log2x, phi)
 
     monkeypatch.setattr(transform, "_tilted", recording)
     (fft, _), _, irfft = _counting_ffts(monkeypatch, transform._correlation_sums, v, True)
     _assert_relative(fft, np.correlate(v, v, mode="full")[n - 1 :], 1e-12)
-    assert len(irfft) == len(tilts) <= 2 * math.log2(n)
+    assert len(irfft) == len(tilts) <= 3
     # the plain tilt follows at full length; only later tilts run on blocks
     assert tilts[0][0] == n and tilts[0][1] != 0.0
     assert tilts[1] == (n, 0.0)
     assert all(size < n for size, _ in tilts[2:])
+
+
+@pytest.mark.parametrize("law", dist.builtin_density_names())
+def test_saddle_solves_run_on_at_most_4096_bins(law, monkeypatch):
+    sizes = []
+    moments = transform._tilt_moments
+
+    def recording(log2x, *args):
+        sizes.append(log2x.size)
+        return moments(log2x, *args)
+
+    monkeypatch.setattr(transform, "_tilt_moments", recording)
+    transform.self_difference(dist.discretize(dist.builtin_density(law), 12.06, 2**18))
+    assert sizes and max(sizes) <= 4096
+
+
+def _log2_rss_by_fractions(x, width):
+    """log2 sqrt(sum x_i^2) of each run of ``width`` entries, from exact sums."""
+    out = []
+    for start in range(0, x.size, width):
+        total = sum(Fraction(float(e)) ** 2 for e in x[start : start + width])
+        if total == 0:
+            out.append(-math.inf)
+        else:
+            out.append(0.5 * (math.log2(total.numerator) - math.log2(total.denominator)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("size", [4096, 4097, 10_001, 2**16 + 5])
+def test_saddle_bins_match_exact_root_sum_squares(size):
+    rng = np.random.default_rng(size)
+    x = np.exp2(rng.uniform(-1074.0, 1023.0, size)) * rng.uniform(0.5, 1.0, size)
+    x[rng.random(size) < 0.3] = 0.0  # zeros, some whole runs of them
+    x[size // 3 : size // 3 + 64] = 0.0
+    log2x = transform._log2(x)
+    centres, bins = transform._saddle_bins(log2x)
+    width = -(-size // 4096)
+    assert bins.size == centres.size == -(-size // width) <= 4096
+    starts = np.arange(0, size, width)
+    ends = np.minimum(starts + width, size) - 1
+    assert np.array_equal(centres, 0.5 * (starts + ends))
+    exact = _log2_rss_by_fractions(x, width)
+    assert np.array_equal(np.isinf(bins), np.isinf(exact))
+    finite = np.isfinite(exact)
+    assert np.all(np.abs(bins[finite] - exact[finite]) <= 1e-12 * np.abs(exact[finite]) + 1e-12)
+    if width == 1:
+        assert np.array_equal(bins, log2x)
+
+
+def _comb(cells: int, period: int) -> dist.GridDensity:
+    # a lattice law on a grid ``period`` times finer: values on the first
+    # half of each period only (one cell for periods 2 and 3), decaying like
+    # e^(-50 x), so every lag sum off the lattice's differences is exactly 0
+    i = np.arange(cells)
+    values = np.exp(-50.0 * i / cells) * (i % period < period // 2)
+    return dist.GridDensity(4.0, values).normalized()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("period", [2, 3, 4, 8, 16])
+def test_comb_selfdiff_matches_direct_sums(period):
+    g = _comb(2**14, period)
+    fft = transform.self_difference(g)
+    direct = transform.self_difference(g, use_fft=False)
+    _assert_relative(fft.values, direct.values, 1e-12)
+
+
+@pytest.mark.parametrize("period", [2, 3, 4, 8, 16])
+def test_comb_selfdiff_sums_no_long_direct_block(period, monkeypatch):
+    # exactly zero lags never get under the FFT's absolute round-off; they
+    # once stopped the tilts and left almost every lag to np.convolve
+    cells = 2**16
+    blocks = []
+    convolve = transform.np.convolve
+
+    def recording(a, b, *args, **kwargs):
+        blocks.append(a.size)
+        return convolve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(transform.np, "convolve", recording)
+    _, rfft, irfft = _counting_ffts(monkeypatch, transform.self_difference, _comb(cells, period))
+    assert rfft == 2 * len(irfft) - 1  # two spectra per tilt, one for the zero lags
+    assert len(irfft) <= 2 * math.log2(cells)
+    assert max(blocks, default=0) <= 64
 
 
 def _log_concave_grid(seed: int, cells: int) -> dist.GridDensity:
