@@ -29,7 +29,7 @@ still short, from the R values at each end, in O(R log R).  Each tilt's
 phi comes from a saddle-point solve on at most 4096 log-sum-exp bins of
 its block, O(4096) per Newton step at any size: phi only steers which
 lags a tilt makes accurate, and the bound certifies every sum.  Lags with
-no nonzero product (a comb's) are set to an exact 0 once the tilts stall.
+no nonzero product (a comb's) are found by one FFT pair and set to 0.
 An exactly even grid, such as ``dist.discretize`` builds for every
 built-in law, needs one spectrum per tilt instead of two.
 
@@ -113,13 +113,11 @@ def _saddle_bins(log2x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centres and log2 root-sum-squares of at most ``_SADDLE_BINS`` runs of x.
 
     A log-sum-exp from each run's largest entry loses no nonzero entry; runs
-    of one entry are the indices and log2 x themselves.
+    of one entry give the indices and log2 x themselves, bit for bit.
     """
     s = log2x.size
     width = -(-s // _SADDLE_BINS)
     starts = np.arange(0, s, width)
-    if width == 1:
-        return starts.astype(float), log2x
     # a run of zeros gets a finite top, so it sums to 0 instead of inf - inf
     top = np.maximum(np.maximum.reduceat(log2x, starts), -1100.0)
     t = np.repeat(top, width)[:s]
@@ -246,12 +244,6 @@ def _tilt_cost(r: int) -> float:
     return m * math.log2(m)
 
 
-def _first_short(quality: np.ndarray) -> int:
-    """First entry whose quality is short of ``_REL_TARGET`` (its size if none)."""
-    bad = quality < 1.0 / _REL_TARGET
-    return int(np.argmax(bad)) if bad.any() else quality.size
-
-
 def _zero_lags(v: np.ndarray, m: int) -> np.ndarray:
     """Mask of the lags of v with no nonzero product, by a length-m FFT pair.
 
@@ -277,7 +269,8 @@ def _tilt_pass(
     a and b are (x, log2 x) pairs of R-vectors (``b`` None: b = a, one
     spectrum serves both).  Entry R-1+d replaces ``out[d]`` where its ratio
     to its error bound beats ``quality[d]``; ``work`` holds at least
-    ``_fft_length(R)`` entries.  Returns ``_first_short(quality)``.
+    ``_fft_length(R)`` entries.  Returns the first d still short of
+    ``_REL_TARGET`` (R if none).
     """
     r = a[0].size
     size = 2 * r - 1
@@ -306,13 +299,15 @@ def _tilt_pass(
     np.exp2(scale, out=scale)
     scale *= conv
     conv *= 1.0 / bound
-    np.maximum(conv, 1.0 / _REL_TARGET, out=conv, where=subnormal)
+    wanted = 1.0 / _REL_TARGET
+    np.maximum(conv, wanted, out=conv, where=subnormal)
     del subnormal
     better = conv > quality
     np.copyto(out, scale, where=better)
     np.copyto(quality, conv, where=better)
     del scale, conv, better
-    return _first_short(quality)
+    bad = quality < wanted
+    return int(np.argmax(bad)) if bad.any() else r
 
 
 def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
@@ -342,11 +337,9 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     saddle solve and tilt reads slices of one log2 v.
 
     A lag whose sum is exactly zero (a comb's) never gets under the bound,
-    as the FFT's absolute round-off sits on it.  So the first time the
-    tilts stall (a tilt saved too little, or the first left a lag below d0
-    short) while the block left costs more than a tilt and v has a zero,
-    ``_zero_lags`` sets every lag without a nonzero product to an exact 0,
-    and tilting goes on from the first lag still short.
+    as the FFT's absolute round-off sits on it, and would be summed
+    directly.  So when v has a zero, ``_zero_lags`` first finds every lag
+    without a nonzero product; those keep an exact 0 and count as accurate.
 
     An entry's relative error bound is the FFT bound over the tilted entry;
     an entry whose absolute bound falls below ``_REL_TARGET`` times the
@@ -371,22 +364,19 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     else:
         phi = _saddle_tilt(a, b, 2 * n - 1 - last, 0.0)
     short = 0
-    zero = None
+    if not v.all():
+        zero = _zero_lags(v, m)
+        quality[zero] = np.inf  # out is already 0 there
+        del zero
     while True:
         short += _tilt_pass(a, b, phi, out[short:], quality[short:], work)
-        r = n - short
-        stalled = last is not None and last * last - r * r <= _tilt_cost(r)
-        if stalled and zero is None and r * r > _tilt_cost(r) and not v.all():
-            zero = _zero_lags(v, m)
-            out[zero], quality[zero] = 0.0, np.inf
-            short = _first_short(quality)
-            r = n - short
-            stalled = last * last - r * r <= _tilt_cost(r)
         if short < d0:
             # the first tilt left a lag of the plain FFT's range short
             phi, last, d0, short = 0.0, None, 0, 0
             continue
-        if stalled or r * r <= _tilt_cost(r):
+        r = n - short
+        cost = _tilt_cost(r)
+        if r * r <= cost or (last is not None and last * last - r * r <= cost):
             break
         a, b = (v[short:], log2v[short:]), None if even else (w[short:], log2w[short:])
         phi = _saddle_tilt(a, b, r - 1, phi)

@@ -189,7 +189,7 @@ FULL_LENGTH_TILTS = {
 }
 
 
-def _no_zero_lags(v):
+def _no_zero_lags(v, m):
     raise AssertionError("a grid without interior zeros looked for zero lags")
 
 
