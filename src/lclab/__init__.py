@@ -4,10 +4,11 @@ The product X1*X2 of two independent standard normals has density
 K0(|x|)/pi, which is not log-concave (K0 is log-convex on the positive
 axis), while the independent self-difference X1*X2 - X3*X4 is exactly
 Laplace(0,1), which is log-concave.  This package machine-checks every
-step of that statement: Bessel-K evaluation against a quadrature oracle,
-MGF identities by two independent routes, the FFT self-difference against
-the Laplace density, midpoint-concavity verdicts with explicit witnesses,
-and a seeded Kolmogorov-Smirnov run.
+step of that statement: vectorised Bessel-K evaluation (``lclab.specfun``;
+the root exports only its quadrature oracles) against those oracles, MGF
+identities by two independent routes, the FFT self-difference against the
+Laplace density, midpoint-concavity verdicts with explicit witnesses, and
+a seeded Kolmogorov-Smirnov run.
 """
 
 from .dist import (
@@ -45,12 +46,8 @@ from .shape import (
 )
 from .specfun import (
     EvalResult,
-    bessel_k0,
     bessel_k0_quadrature_oracle,
-    bessel_k1,
     bessel_k1_quadrature_oracle,
-    k_ratio,
-    log_bessel_k0,
 )
 from .transform import (
     MGFMethod,
@@ -85,9 +82,7 @@ __all__ = [
     "SingularityError",
     "VerificationReport",
     "Witness",
-    "bessel_k0",
     "bessel_k0_quadrature_oracle",
-    "bessel_k1",
     "bessel_k1_quadrature_oracle",
     "builtin_density",
     "check_log_concavity_grid",
@@ -95,12 +90,10 @@ __all__ = [
     "check_preservation_under_difference",
     "check_ratio_monotonicity",
     "discretize",
-    "k_ratio",
     "ks_statistic",
     "laplace",
     "laplace_cdf",
     "laplace_density",
-    "log_bessel_k0",
     "mgf_difference_closed_form",
     "mgf_via_conditioning",
     "mgf_via_density",

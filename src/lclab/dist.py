@@ -132,9 +132,11 @@ def laplace_density(x):
 def laplace_cdf(x):
     """Laplace(0,1) CDF: exp(x)/2 for x <= 0, 1 - exp(-x)/2 otherwise."""
     arr = np.asarray(x, dtype=float)
-    # one exponential serves both branches; 1 - half is taken in place, so a
-    # KS call holds no n-length temporaries beyond the result
-    half = np.exp(-np.abs(arr), out=np.empty_like(arr))
+    # one exponential serves both branches, all in place: beyond the result a
+    # KS call holds only the n-byte branch mask
+    half = np.abs(arr, out=np.empty_like(arr))
+    np.negative(half, out=half)
+    np.exp(half, out=half)
     half *= 0.5
     np.subtract(1.0, half, out=half, where=arr > 0.0)
     return half if arr.ndim else float(half)
@@ -353,7 +355,6 @@ def discretize(density: AnalyticDensity, half_width: float, n_cells: int) -> Gri
         )
     h = 2.0 * half_width / n_cells
     half = n_cells // 2 if density.even else n_cells
-    edges = -half_width + h * np.arange(n_cells + 1)
     nodes = -half_width + (np.arange(half) + 0.5) * h
 
     # a right-half singular cell of an even law is averaged as its left mirror,
@@ -365,7 +366,7 @@ def discretize(density: AnalyticDensity, half_width: float, n_cells: int) -> Gri
             continue
         k0 = int(np.floor((s + half_width) / h))
         for k in (k0 - 1, k0, k0 + 1):
-            if 0 <= k < n_cells and edges[k] <= s <= edges[k + 1]:
+            if 0 <= k < n_cells and -half_width + h * k <= s <= -half_width + h * (k + 1):
                 singular_cells.add(k if k < half else n_cells - 1 - k)
 
     values = np.empty(n_cells)
@@ -374,7 +375,8 @@ def discretize(density: AnalyticDensity, half_width: float, n_cells: int) -> Gri
     regular[list(singular_cells)] = False
     left[regular] = density.pdf(nodes[regular])
     for k in sorted(singular_cells):
-        left[k] = _cell_average(density, float(edges[k]), float(edges[k + 1]))
+        lo, hi = -half_width + h * k, -half_width + h * (k + 1)
+        left[k] = _cell_average(density, float(lo), float(hi))
     if density.even:
         values[half:] = left[::-1]
 

@@ -9,18 +9,19 @@ samplers), so value j of a generator consuming w normals per value owns
 exactly the uniform indices ``w*j .. w*j + w - 1``.
 
 Generation is blocked and in place: the stream is produced ``_BLOCK``
-counter positions at a time through a few preallocated buffers that stay
+counter positions at a time through two preallocated buffers that stay
 in cache (counter -> SplitMix64 -> uniform -> ``ndtri`` -> product or
-difference, all with ``out=`` ufuncs), so a batch needs its output plus
-O(block) memory and stays bit-identical to the counter definition above.
+difference, all with ``out=`` ufuncs on the rows of a column-major block),
+so a batch needs its output plus O(block) memory and stays bit-identical.
 
 The KS statistic walks the sorted sample in blocks of the same size, so it
 needs the sorted values plus O(block).  ``ks_over_seeds`` runs its seeds on
 min(usable CPUs, seeds) threads (the process's CPU affinity, else the CPU
 count); there is no knob.  numpy ufuncs, ``ndtri`` and the sort release the
 GIL, so the time falls with the cores (the 20 golden-seed jobs at n = 10^6
-take ~2.4 s on one CPU of a shared x86-64 host and ~1.5 s on two), and the
-reports come back in seed order, bit-identical to one seed after another.
+take ~2.2 s on one CPU of a shared 2-vCPU x86-64 host and ~1.2 s on two,
+warm), and the reports come back in seed order, bit-identical to one seed
+after another.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from scipy.special import kolmogi, ndtri
 #: in the test suite quantify over exactly these seeds.
 GOLDEN_SEEDS: tuple[int, ...] = (101, 102, 103, 104, 105, 106, 107, 108, 109, 110)
 
-_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
@@ -90,8 +91,8 @@ class KSReport:
         }
 
 
-#: Counter positions per generation block: the three 512 KiB block buffers
-#: (counter steps, mixed bits, uniforms/normals) fit in a 2 MiB L2 cache.
+#: Counter positions per generation block: the two 512 KiB block buffers
+#: (mixed bits, uniforms/normals) and the row steps fit in a 2 MiB L2 cache.
 _BLOCK = 1 << 16
 
 
@@ -103,28 +104,6 @@ def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
         np.multiply(z, mult, out=z)
     np.right_shift(z, np.uint64(31), out=tmp)
     np.bitwise_xor(z, tmp, out=z)
-
-
-def _counter_steps(count: int) -> np.ndarray:
-    """i * GOLDEN for i < min(count, _BLOCK): the in-block counter offsets."""
-    return np.arange(min(count, _BLOCK), dtype=np.uint64) * _GOLDEN_GAMMA
-
-
-def _uniforms_into(
-    key: int, start: int, steps: np.ndarray, bits: np.ndarray, out: np.ndarray
-) -> None:
-    """Uniforms at counter positions start..start+len(out)-1, written into out.
-
-    ``steps``, ``bits`` and ``out`` have one length (at most ``_BLOCK``);
-    ``out`` doubles as the mixing scratch before it receives the uniforms.
-    """
-    base = np.uint64((key + (start + 1) * int(_GOLDEN_GAMMA)) % (1 << 64))
-    np.add(steps, base, out=bits)
-    _mix64_into(bits, out.view(np.uint64))
-    # 53-bit mantissa, offset by half a lattice cell so 0 and 1 are excluded
-    np.right_shift(bits, np.uint64(11), out=bits)
-    np.add(bits, 0.5, out=out)
-    np.multiply(out, 2.0**-53, out=out)
 
 
 def _stream_key(generator: Generator, seed: int) -> int:
@@ -140,23 +119,33 @@ _NORMALS_PER_VALUE = {
 
 
 def _values_for_range(generator: Generator, key: int, lo: int, out: np.ndarray) -> None:
-    """Values lo..lo+len(out)-1 of the generator's stream, written into out."""
+    """Values lo..lo+len(out)-1 of the generator's stream, written into out.
+
+    Row c of a block holds normal c of each value j (counter w*j + c).
+    """
     w = _NORMALS_PER_VALUE[generator]
-    per_block = _BLOCK // w
-    steps = _counter_steps(w * out.size)
-    bits = np.empty_like(steps)
-    normals = np.empty(steps.size)
+    per_block = max(1, min(_BLOCK // w, out.size))
+    steps = np.arange(per_block, dtype=np.uint64) * np.uint64(w * _GOLDEN_GAMMA % (1 << 64))
+    bits = np.empty(w * per_block, dtype=np.uint64)
+    normals = np.empty(w * per_block)
     for a in range(0, out.size, per_block):
         m = min(per_block, out.size - a)
-        z = normals[: w * m]
-        _uniforms_into(key, w * (lo + a), steps[: w * m], bits[: w * m], z)
+        b = bits[: w * m].reshape(w, m)
+        z = normals[: w * m].reshape(w, m)
+        rows = [(key + (w * (lo + a) + c + 1) * _GOLDEN_GAMMA) % (1 << 64) for c in range(w)]
+        np.add(steps[:m], np.array(rows, dtype=np.uint64)[:, None], out=b)
+        _mix64_into(b, z.view(np.uint64))  # z is scratch until it gets the uniforms
+        # 53-bit mantissa (exact as int64), offset by half a lattice cell so 0
+        # and 1 are excluded
+        np.right_shift(b, np.uint64(11), out=b)
+        np.add(b.view(np.int64), 0.5, out=z)
+        np.multiply(z, 2.0**-53, out=z)
         ndtri(z, out=z)
-        z = z.reshape(m, w)
         dst = out[a : a + m]
-        np.multiply(z[:, 0], z[:, 1], out=dst)
+        np.multiply(z[0], z[1], out=dst)
         if generator is Generator.PRODUCT_SELF_DIFFERENCE:
-            np.multiply(z[:, 2], z[:, 3], out=z[:, 2])
-            np.subtract(dst, z[:, 2], out=dst)
+            np.multiply(z[2], z[3], out=z[2])
+            np.subtract(dst, z[2], out=dst)
 
 
 def sample(generator: Generator, seed: int, n: int) -> SampleBatch:

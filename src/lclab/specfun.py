@@ -1,9 +1,9 @@
 """Modified Bessel functions K0 and K1 of a positive real argument.
 
-Values come from ``scipy.special`` (``k0``, ``k1`` and the exponentially
-scaled ``k0e = exp(x) K0``, ``k1e = exp(x) K1``; Cephes, Moshier 1989).
-The scaled functions give ``ln K0 = ln k0e(x) - x`` without underflow and
-the ratio ``K0'/K0 = -k1e/k0e`` with the exponential scaling cancelled.
+Values come from ``scipy.special`` (``k0`` and the exponentially scaled
+``k0e = exp(x) K0``, ``k1e = exp(x) K1``; Cephes, Moshier 1989).  The
+scaled functions give ``ln K0 = ln k0e(x) - x`` without underflow and the
+ratio ``K0'/K0 = -k1e/k0e`` with the exponential scaling cancelled.
 
 An adaptive-quadrature oracle for the integral representation
 ``K0(x) = int_0^inf exp(-x cosh t) dt`` gives an independent cross-check;
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k0, k0e, k1, k1e
+from scipy.special import k0, k0e, k1e
 
 from .errors import DomainError
 from .quadrature import adaptive_quad
@@ -55,11 +55,6 @@ def k0_values(x) -> np.ndarray:
     return k0(_validate_positive(x))
 
 
-def k1_values(x) -> np.ndarray:
-    """Vectorised K1."""
-    return k1(_validate_positive(x))
-
-
 def log_k0_values(x) -> np.ndarray:
     """Vectorised ln K0; finite for large x (no exp/ln round trip)."""
     x = _validate_positive(x)
@@ -70,35 +65,6 @@ def k_ratio_values(x) -> np.ndarray:
     """Vectorised K0'(x)/K0(x) = -K1(x)/K0(x); the exponential scaling cancels."""
     x = _validate_positive(x)
     return -k1e(x) / k0e(x)
-
-
-def _bounded(value) -> EvalResult:
-    # 8 eps relative: Cephes documents a peak relative error of 1.2e-15
-    # (about 5.4 eps) for k0 and k1; against mpmath at 40 digits on 3000
-    # geometric points in [1e-6, 700] the observed maxima are k0 5.1 eps,
-    # k1 3.7 eps, k0e 5.6 eps, k1e 3.4 eps.  5e-324 covers underflow to 0.
-    value = float(value)
-    return EvalResult(value, 8.0 * np.finfo(float).eps * value + 5e-324)
-
-
-def bessel_k0(x: float) -> EvalResult:
-    """K0(x) for x > 0, with an absolute error bound."""
-    return _bounded(k0_values(float(x)))
-
-
-def bessel_k1(x: float) -> EvalResult:
-    """K1(x) for x > 0, with an absolute error bound."""
-    return _bounded(k1_values(float(x)))
-
-
-def log_bessel_k0(x: float) -> float:
-    """ln K0(x) for x > 0; finite for all x (no underflow for large x)."""
-    return float(log_k0_values(float(x)))
-
-
-def k_ratio(x: float) -> float:
-    """K0'(x)/K0(x) = -K1(x)/K0(x); strictly negative, increasing to -1."""
-    return float(k_ratio_values(float(x)))
 
 
 def _k_oracle(x: float, order: int, tol: float) -> EvalResult:

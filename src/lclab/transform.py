@@ -104,9 +104,8 @@ class MGFValue:
 
 def _log2(x: np.ndarray) -> np.ndarray:
     """log2 of a nonnegative vector, -inf at zeros."""
-    out = np.full(x.size, -np.inf)
-    np.log2(x, out=out, where=x > 0.0)
-    return out
+    with np.errstate(divide="ignore"):
+        return np.log2(x)
 
 
 def _saddle_bins(log2x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

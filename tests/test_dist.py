@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,19 @@ def test_laplace_cdf_bit_identical_to_two_branch_form():
             x <= 0.0, 0.5 * np.exp(np.minimum(x, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(x, 0.0))
         )
         assert np.array_equal(dist.laplace_cdf(x), two_branch)
+
+
+def test_laplace_cdf_memory_is_output_plus_mask():
+    # the result doubles as every intermediate; only the n-byte branch mask
+    # comes on top
+    x = np.linspace(-20.0, 20.0, 10**6)
+    tracemalloc.start()
+    try:
+        f = dist.laplace_cdf(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * f.nbytes
 
 
 def test_normal_product_cdf():
