@@ -30,7 +30,6 @@ from .errors import (
     DomainError,
     NonConvergenceError,
     NotNormalizedError,
-    PreconditionError,
     SingularityError,
 )
 from .mc import GOLDEN_SEEDS, Generator, KSReport, SampleBatch, ks_statistic, sample
@@ -41,7 +40,6 @@ from .shape import (
     Witness,
     check_log_concavity_grid,
     check_log_convexity_interval,
-    check_preservation_under_difference,
     check_ratio_monotonicity,
 )
 from .specfun import (
@@ -75,7 +73,6 @@ __all__ = [
     "NonConvergenceError",
     "NotNormalizedError",
     "Outcome",
-    "PreconditionError",
     "SampleBatch",
     "ShapeProperty",
     "ShapeVerdict",
@@ -87,7 +84,6 @@ __all__ = [
     "builtin_density",
     "check_log_concavity_grid",
     "check_log_convexity_interval",
-    "check_preservation_under_difference",
     "check_ratio_monotonicity",
     "discretize",
     "ks_statistic",

@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import dist, mc, shape, specfun, transform, verify
-from .errors import DivergenceError, DomainError, NonConvergenceError, NotNormalizedError
+from .errors import NonConvergenceError
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -78,17 +78,24 @@ def _parse_t_list(text: str) -> list[float]:
     return values
 
 
-def _at_least(low: int):
-    def parse(text: str) -> int:
+def _checked(convert, ok, what: str):
+    """Argument type: ``convert(text)`` when it succeeds and ``ok`` accepts it."""
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
-        return value
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
 
     return parse
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
 
 
 def _cell_count(text: str) -> int:
@@ -98,34 +105,13 @@ def _cell_count(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
-    return value
-
-
-def _open_unit_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 1)")
-    return value
-
-
-def _interval(text: str) -> tuple[float, float]:
-    try:
-        a, b = (float(tok) for tok in text.split(","))
-    except ValueError:
-        a = b = math.nan
-    if not 0.0 < a < b < math.inf:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an interval a,b with 0 < a < b")
-    return a, b
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_open_unit_float = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_interval = _checked(
+    lambda text: tuple(map(float, text.split(","))),
+    lambda v: len(v) == 2 and 0.0 < v[0] < v[1] < math.inf,
+    "an interval a,b with 0 < a < b",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -234,21 +220,18 @@ def _cmd_selfdiff(args) -> int:
 
 def _cmd_mgf(args) -> int:
     density = dist.builtin_density(args.law)
+    routes = {"density_quadrature": lambda t: transform.mgf_via_density(density, t, args.tol)}
+    if args.law == "normal-product":
+        routes["gaussian_conditioning"] = lambda t: transform.mgf_via_conditioning(t, args.tol)
     rows = []
     for t in args.t:
         row = {"t": t, "law": args.law}
-        m = transform.mgf_via_density(density, t, args.tol)
-        row["density_quadrature"] = {
-            "value": m.value,
-            "abs_error_estimate": m.abs_error_estimate,
-            "method": m.method.value,
-        }
-        if args.law == "normal-product":
-            c = transform.mgf_via_conditioning(t, args.tol)
-            row["gaussian_conditioning"] = {
-                "value": c.value,
-                "abs_error_estimate": c.abs_error_estimate,
-                "method": c.method.value,
+        for key, route in routes.items():
+            m = route(t)
+            row[key] = {
+                "value": m.value,
+                "abs_error_estimate": m.abs_error_estimate,
+                "method": m.method.value,
             }
         rows.append(row)
     _write_text(args.out, _json_dumps(rows))
@@ -295,16 +278,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # every lclab error but NonConvergenceError is a ValueError
     try:
         return _COMMANDS[args.command](args)
-    except (
-        DomainError,
-        DivergenceError,
-        NonConvergenceError,
-        NotNormalizedError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (NonConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
 

@@ -232,11 +232,6 @@ class GridDensity:
         with np.errstate(over="ignore"):
             return self.step * float(np.sum(self.values))
 
-    @property
-    def mass_defect(self) -> float:
-        """|1 - raw_mass| if this grid went through normalization, else 0."""
-        return abs(1.0 - self.raw_mass) if self.raw_mass is not None else 0.0
-
     def normalized(self) -> "GridDensity":
         """Rescale to unit mass, recording the mass seen beforehand.
 

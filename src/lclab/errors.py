@@ -19,7 +19,3 @@ class NonConvergenceError(RuntimeError):
 
 class NotNormalizedError(ValueError):
     """The operation requires a unit-mass grid density."""
-
-
-class PreconditionError(ValueError):
-    """A documented precondition of the operation does not hold."""

@@ -196,6 +196,48 @@ def test_invalid_numeric_values_exit_2(argv, capsys):
     assert f"argument {argv[-2]}:" in capsys.readouterr().err
 
 
+_BAD_VALUES = [
+    (["verify-theorem", "--half-width"], "nan", "'nan' is not a positive finite number"),
+    (["verify-theorem", "--half-width"], "inf", "'inf' is not a positive finite number"),
+    (["verify-theorem", "--half-width"], "-1", "'-1' is not a positive finite number"),
+    (["verify-theorem", "--tol-shape"], "x", "'x' is not a positive finite number"),
+    (["mgf", "--t", "0", "--tol"], "0", "'0' is not a positive finite number"),
+    (["verify-theorem", "--cells"], "nan", "'nan' is not an integer >= 64"),
+    (["verify-theorem", "--cells"], "1e3", "'1e3' is not an integer >= 64"),
+    (["verify-theorem", "--cells"], "62", "'62' is not an integer >= 64"),
+    (["verify-theorem", "--cells"], "65", "cell count must be even"),
+    (["verify-theorem", "--n"], "0", "'0' is not an integer >= 1"),
+    (["verify-theorem", "--n"], "1.5", "'1.5' is not an integer >= 1"),
+    (["shape", "--property", "log-convex", "--probes"], "2", "'2' is not an integer >= 3"),
+    (["sample", "--generator", "normal-product", "--seed", "1", "--n", "10", "--alpha"],
+     "1", "'1' is not a number in (0, 1)"),
+    (["sample", "--generator", "normal-product", "--seed", "1", "--n", "10", "--alpha"],
+     "nan", "'nan' is not a number in (0, 1)"),
+    (["sample", "--generator", "normal-product", "--seed", "1", "--n", "10", "--alpha"],
+     "x", "'x' is not a number in (0, 1)"),
+    (["shape", "--property", "log-convex", "--interval"], "1,2,3",
+     "'1,2,3' is not an interval a,b with 0 < a < b"),
+    (["shape", "--property", "log-convex", "--interval"], "2,1",
+     "'2,1' is not an interval a,b with 0 < a < b"),
+    (["shape", "--property", "log-convex", "--interval"], "1,inf",
+     "'1,inf' is not an interval a,b with 0 < a < b"),
+    (["shape", "--property", "log-convex", "--interval"], "a,b",
+     "'a,b' is not an interval a,b with 0 < a < b"),
+    (["mgf", "--t"], "", "bad t-list '': need finite numbers"),
+    (["mgf", "--t"], "0,x", "bad t-list '0,x': need finite numbers"),
+    (["mgf", "--t"], "0,nan", "bad t-list '0,nan': need finite numbers"),
+]
+
+
+@pytest.mark.parametrize("prefix, value, message", _BAD_VALUES)
+def test_bad_value_usage_error_message(prefix, value, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*prefix, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {prefix[-1]}: {message}\n"), err
+
+
 def test_unwritable_output_exits_1(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "density", "--law", "normal",
@@ -305,3 +347,17 @@ def test_density_tiny_half_width_is_unit_mass_or_exits_1(law, half_width, cells,
     code, out, err = run_cli(capsys, "selfdiff", "--in", str(grid_path))
     assert code == 0, err
     assert dist.GridDensity.from_csv(out).mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ratio_check_near_zero_exits_1_without_a_warning():
+    # k1e overflows below ~1e-308: the check must fail cleanly, not pass
+    # while skipping every probe whose ratio is not finite
+    proc = subprocess.run(
+        [sys.executable, "-m", "lclab", "shape", "--property", "ratio-monotone",
+         "--interval", "1e-320,1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
