@@ -149,26 +149,46 @@ def test_fft_selfdiff_relative_accuracy_on_skewed_input(cells, monkeypatch):
     assert 0 < len(irfft) <= SKEWED_MAX_TILTS[cells]
 
 
-#: FFT lengths of the tilts of a self-difference at 2^14 cells, L = 12.06:
-#: the bisection saves the plain-FFT pass for the product law and Laplace,
-#: whose first (saddle) tilt covers every lag the plain FFT does, and their
-#: later tilts run on short trailing blocks; the normal law's first tilt
-#: does not cover lag 0, so its second tilt is the full-length plain one,
-#: and each of its later tilts covers a narrow band of lags
-TILT_LENGTHS_AT_12_06 = {
-    "normal-product": [2**15, 2**12, 2**6],
-    "laplace": [2**15, 2**12, 2**7],
-    "normal": [2**15] * 4 + [2**14, 2**13, 2**12, 2**8],
+#: FFT lengths of the tilts of a self-difference, by (law, cells, L).  At
+#: 2^14 cells, L = 12.06 the bisection saves the plain-FFT pass for the
+#: product law and Laplace, whose first (saddle) tilt covers every lag the
+#: plain FFT does, and their later tilts run on short trailing blocks; the
+#: normal law's first tilt does not cover lag 0, so its second tilt is the
+#: full-length plain one, and each of its later tilts covers a narrow band
+#: of lags.  Laplace at 256 cells, L = 0.5 leaves only 8 lags past the
+#: plain FFT's range, cheaper to sum directly than to tilt, so its one tilt
+#: is the plain one
+TILT_LENGTHS = {
+    ("normal-product", 2**14, 12.06): [2**15, 2**12, 2**6],
+    ("laplace", 2**14, 12.06): [2**15, 2**12, 2**7],
+    ("normal", 2**14, 12.06): [2**15] * 4 + [2**14, 2**13, 2**12, 2**8],
+    ("laplace", 256, 0.5): [512],
 }
 
 
-@pytest.mark.parametrize("law", dist.builtin_density_names())
-def test_builtin_grid_takes_one_spectrum_per_tilt(law, monkeypatch):
-    g = dist.discretize(dist.builtin_density(law), 12.06, 2**14)
+def _tilt_lengths_id(key):
+    law, cells, half_width = key
+    return law if (cells, half_width) == (2**14, 12.06) else f"{law}-{cells}-{half_width}"
+
+
+@pytest.mark.parametrize("key", list(TILT_LENGTHS), ids=_tilt_lengths_id)
+def test_builtin_grid_takes_one_spectrum_per_tilt(key, monkeypatch):
+    law, cells, half_width = key
+    g = dist.discretize(dist.builtin_density(law), half_width, cells)
+    phis = []
+    tilted = transform._tilted
+
+    def recording(x, log2x, phi):
+        phis.append(phi)
+        return tilted(x, log2x, phi)
+
+    monkeypatch.setattr(transform, "_tilted", recording)
     _, rfft, irfft = _counting_ffts(monkeypatch, transform.self_difference, g)
-    assert irfft == TILT_LENGTHS_AT_12_06[law]
+    assert irfft == TILT_LENGTHS[key]
     assert all(m <= irfft[0] for m in irfft[1:])
-    assert rfft == len(irfft)
+    assert rfft == len(irfft) == len(phis)
+    if key == ("laplace", 256, 0.5):
+        assert phis == [0.0]
 
 
 #: Tilts per self-difference when every tilt ran at the full FFT length
