@@ -44,19 +44,19 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# stream-domain tags so different generators with the same seed do not
-# share uniform indices
-_STREAM_TAG = {
-    "normal-product": np.uint64(0x4E50),
-    "product-self-difference": np.uint64(0x505344),
-}
-
-
 class Generator(enum.Enum):
     """Named sampling pipelines."""
 
     NORMAL_PRODUCT = "normal-product"
     PRODUCT_SELF_DIFFERENCE = "product-self-difference"
+
+
+#: Per generator: its stream-domain tag, so different generators with the
+#: same seed do not share uniform indices, and the normals per value
+_STREAMS = {
+    Generator.NORMAL_PRODUCT: (np.uint64(0x4E50), 2),
+    Generator.PRODUCT_SELF_DIFFERENCE: (np.uint64(0x505344), 4),
+}
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,9 @@ def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def _stream_key(generator: Generator, seed: int) -> int:
-    z = np.array([seed % (1 << 64)], dtype=np.uint64) ^ _STREAM_TAG[generator.value]
+    z = np.array([seed % (1 << 64)], dtype=np.uint64) ^ _STREAMS[generator][0]
     _mix64_into(z, np.empty_like(z))
     return int(z[0])
-
-
-_NORMALS_PER_VALUE = {
-    Generator.NORMAL_PRODUCT: 2,
-    Generator.PRODUCT_SELF_DIFFERENCE: 4,
-}
 
 
 def _values_for_range(generator: Generator, key: int, lo: int, out: np.ndarray) -> None:
@@ -123,7 +117,7 @@ def _values_for_range(generator: Generator, key: int, lo: int, out: np.ndarray) 
 
     Row c of a block holds normal c of each value j (counter w*j + c).
     """
-    w = _NORMALS_PER_VALUE[generator]
+    w = _STREAMS[generator][1]
     per_block = max(1, min(_BLOCK // w, out.size))
     steps = np.arange(per_block, dtype=np.uint64) * np.uint64(w * _GOLDEN_GAMMA % (1 << 64))
     bits = np.empty(w * per_block, dtype=np.uint64)

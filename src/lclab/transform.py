@@ -18,20 +18,32 @@ reverse by 2^(phi i) moves the mass of the products contributing to one
 lag to the top of the tilted vectors, where the FFT is relatively
 accurate, and the tilt is undone exactly afterwards.  Every sum gets a
 relative error bound from the FFT's absolute bound (see
-``_FFT_ERROR_BOUND``); each keeps the value of its best tilt, and the few
-largest lags that no tilt brings under ``_REL_TARGET`` -- sums of a
-handful of products of the values' end blocks -- are summed directly.
-A bisection on about log2 n exact lag sums finds where the plain FFT
-stops being accurate, and the first tilt is centred there; the plain tilt
-follows only if that one leaves a smaller lag short.  These first tilts
-cost O(n log n); every later tilt fixes only the trailing block of R lags
-still short, from the R values at each end, in O(R log R).  Each tilt's
-phi comes from a saddle-point solve on at most 4096 log-sum-exp bins of
-its block, O(4096) per Newton step at any size: phi only steers which
-lags a tilt makes accurate, and the bound certifies every sum.  Lags with
-no nonzero product (a comb's) are found by one FFT pair and set to 0.
-An exactly even grid, such as ``dist.discretize`` builds for every
-built-in law, needs one spectrum per tilt instead of two.
+``_FFT_ERROR_BOUND``) and keeps the value of its best tilt.
+
+The plain FFT (tilt 0) is accurate up to the first lag d0 whose sum falls
+below its absolute bound over ``_REL_TARGET``; a bisection on about
+log2 n exact lag sums finds d0.  The first tilt is centred on lag d0, and
+for the product law and Laplace it also covers every lag below; the plain
+tilt follows only if it leaves a lag below d0 short (as the normal law's
+narrower tilts do), or runs alone when the lags from d0 on cost no more
+to sum directly than a tilt.  These first tilts cost O(n log n); every
+later tilt fixes only the trailing block of R lags from the first one
+still short, from the R values at each end, in O(R log R).  Tilts stop
+once that block costs no more to sum directly than a tilt of it, or the
+last tilt saved less direct work than that, and the block is summed
+directly.  Each tilt's phi comes from a saddle-point solve on at most
+4096 log-sum-exp bins of its block, O(4096) per Newton step at any size:
+phi only steers which lags a tilt makes accurate, and the bound
+certifies every sum.  Lags with no nonzero product (a comb's), which
+never get under the FFT's round-off, are found by one FFT pair and keep
+an exact 0.  An exactly even grid, such as ``dist.discretize`` builds
+for every built-in law, needs one spectrum per tilt instead of two.
+
+On the built-in grids the direct block has at most a few dozen lags and
+the whole correlation costs O(n log n).  Where every tilt stalls on lags
+that are tiny but not zero, as on e^(-50x) on even cells and 1e-26 on
+odd ones, the direct block holds n - 1 lags and costs O(n^2) (ROADMAP.md,
+item 2).
 
 MGFs are evaluated by two independent numeric routes so the Bessel-backed
 density code is never certified by itself: direct exp-tilted quadrature of
@@ -41,6 +53,7 @@ a density, and (for the normal-product law) Gaussian conditioning,
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -219,14 +232,7 @@ def _first_short_lag(v: np.ndarray, floor: float) -> int:
     ``floor`` downwards.
     """
     n = v.size
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if float(v[: n - mid] @ v[mid:]) < floor:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect.bisect_left(range(n), True, key=lambda d: float(v[: n - d] @ v[d:]) < floor)
 
 
 def _fft_length(r: int) -> int:
@@ -314,36 +320,13 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
 
     Lag d is entry n-1+d of the convolution of v with its reverse w, so
     each tilt transforms both (one spectrum serves both when v is even).
-    Lag 0, ||v||^2, is the largest sum (Cauchy-Schwarz), and the plain FFT
-    (tilt 0) is accurate up to the first lag d0 whose sum falls below its
-    absolute bound over ``_REL_TARGET``.  ``_first_short_lag`` finds d0
-    from exact sums, and the first tilt is the saddle tilt of lag d0; for
-    the product law and Laplace it also covers every lag below d0, which
-    saves the plain FFT pass.  Should it leave a lag below d0 short (as the
-    normal law's narrower tilts do, or a correlation that rises again), the
-    next tilt is 0, so the worst case is one full-length tilt more.  When
-    the lags from d0 on cost no more to sum directly than a tilt of them
-    (``_tilt_cost``), the only tilt is 0.
-
-    These first tilts run on the full length, O(n log n) each.  Every later
-    tilt fixes only the trailing block of R lags from the first one still
-    short, s = n - R, on.  Those lags involve only v[s:] and w[s:] (they
-    are entries R-1 .. 2R-2 of ``conv(v[s:], w[s:])``), so the tilt is the
-    saddle tilt of lag s for that pair, with its own FFT length, error
-    bound and saddle solve, O(R log R).  Tilts stop once the block left
-    costs no more to sum directly than a tilt of it, or the last tilt saved
-    less direct work than that; that end block is summed directly.  Every
-    saddle solve and tilt reads slices of one log2 v.
-
-    A lag whose sum is exactly zero (a comb's) never gets under the bound,
-    as the FFT's absolute round-off sits on it, and would be summed
-    directly.  So when v has a zero, ``_zero_lags`` first finds every lag
-    without a nonzero product; those keep an exact 0 and count as accurate.
-
-    An entry's relative error bound is the FFT bound over the tilted entry;
-    an entry whose absolute bound falls below ``_REL_TARGET`` times the
-    smallest normal double counts as accurate whatever its value.
-    Undoing the tilt is exact for results below about 2^1014.
+    The lags from s on are entries R-1 .. 2R-2 of ``conv(v[s:], w[s:])``,
+    R = n - s.  The loop keeps that block's start s and the lag t its next
+    tilt centres on (t = 0: the plain tilt, no saddle solve).  An entry's
+    relative error bound is the FFT bound over the tilted entry; one whose
+    absolute bound falls below ``_REL_TARGET`` times the smallest normal
+    double counts as accurate whatever its value.  Undoing the tilt is
+    exact for results below about 2^1014.
     """
     n = v.size
     w = v[::-1]
@@ -355,31 +338,28 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     quality = np.zeros(n, dtype=np.float32)  # entry / its error bound
     work = np.empty(m)  # every tilt's FFT buffer, a prefix for later blocks
     floor = _FFT_ERROR_BOUND * _EPS * math.log2(m) * float(v @ v) * (1.0 / _REL_TARGET)
-    d0 = _first_short_lag(v, floor)
-    last = n - d0
-    a, b = (v, log2v), None if even else (w, log2w)  # the block of the next tilt
-    if last * last <= _tilt_cost(last):
-        phi, last, d0 = 0.0, None, 0
-    else:
-        phi = _saddle_tilt(a, b, 2 * n - 1 - last, 0.0)
-    short = 0
+    t = _first_short_lag(v, floor)
+    if (n - t) ** 2 <= _tilt_cost(n - t):
+        t = 0  # the lags from d0 on are summed directly after the plain tilt
     if not v.all():
         zero = _zero_lags(v, m)
         quality[zero] = np.inf  # out is already 0 there
         del zero
+    s, phi = 0, 0.0
     while True:
-        short += _tilt_pass(a, b, phi, out[short:], quality[short:], work)
-        if short < d0:
-            # the first tilt left a lag of the plain FFT's range short
-            phi, last, d0, short = 0.0, None, 0, 0
-            continue
+        a, b = (v[s:], log2v[s:]), None if even else (w[s:], log2w[s:])
+        phi = _saddle_tilt(a, b, n - 1 - 2 * s + t, phi) if t else 0.0
+        short = s + _tilt_pass(a, b, phi, out[s:], quality[s:], work)
         r = n - short
         cost = _tilt_cost(r)
-        if r * r <= cost or (last is not None and last * last - r * r <= cost):
+        if short < t:
+            # the first tilt left a lag of the plain FFT's range short
+            s = t = 0
+        # stop on a cheap block, or on a saddle tilt (t > 0) that saved too little
+        elif r * r <= cost or (t and (n - t) ** 2 - r * r <= cost):
             break
-        a, b = (v[short:], log2v[short:]), None if even else (w[short:], log2w[short:])
-        phi = _saddle_tilt(a, b, r - 1, phi)
-        last = r
+        else:
+            s = t = short
     if r:
         out[short:] = np.convolve(v[short:], w[short:])[r - 1 :]
     return out
@@ -412,26 +392,6 @@ def _correlation_sums(v: np.ndarray, use_fft: bool) -> tuple[np.ndarray, int]:
     return out, k
 
 
-def _check_normalized(g: GridDensity) -> None:
-    if abs(g.mass - 1.0) > _MASS_TOL:
-        raise NotNormalizedError(
-            f"grid mass {g.mass!r} differs from 1 by more than {_MASS_TOL}"
-        )
-
-
-def _derived_metadata(g: GridDensity) -> tuple[tuple[float, ...], float]:
-    """Singular-point images and trusted window of a correlation output.
-
-    The output is faithful only where the correlation window still covers
-    the input's support, i.e. inside the input half-width (its own trusted
-    window, if narrower).  Pairwise differences of input singular points
-    mark where singular-cell products dominate entries.
-    """
-    trusted = g.trusted_half_width if g.trusted_half_width is not None else g.half_width
-    images = sorted({a - b for a in g.singular_points for b in g.singular_points})
-    return tuple(images), trusted
-
-
 def self_difference(g: GridDensity, *, use_fft: bool = True) -> GridDensity:
     """Density of X - X' for X, X' i.i.d. with gridded density ``g``.
 
@@ -439,7 +399,10 @@ def self_difference(g: GridDensity, *, use_fft: bool = True) -> GridDensity:
     unit mass; even by construction.  ``use_fft=False`` switches to the
     direct O(n^2) correlation (same discretization, for cross-checks).
     """
-    _check_normalized(g)
+    if abs(g.mass - 1.0) > _MASS_TOL:
+        raise NotNormalizedError(
+            f"grid mass {g.mass!r} differs from 1 by more than {_MASS_TOL}"
+        )
     n = g.n_cells
     sums, k = _correlation_sums(g.values, use_fft)
     # the lag-d sum sits on the boundary between cells n-1+d and n+d and is
@@ -451,7 +414,10 @@ def self_difference(g: GridDensity, *, use_fft: bool = True) -> GridDensity:
     right *= math.ldexp(0.5 * g.step, 2 * k)
     np.maximum(right, 0.0, out=right)
     values[:n] = right[::-1]
-    singular, trusted = _derived_metadata(g)
+    # faithful only inside the input half-width (or its narrower trusted
+    # window); singular-cell products dominate at singular-point differences
+    trusted = g.trusted_half_width if g.trusted_half_width is not None else g.half_width
+    singular = tuple(sorted({a - b for a in g.singular_points for b in g.singular_points}))
     return GridDensity(
         2.0 * g.half_width, values, singular_points=singular, trusted_half_width=trusted
     ).normalized()
@@ -474,6 +440,21 @@ def _tilted_window(density: AnalyticDensity, t: float) -> float:
     raise DivergenceError("could not find a decaying integration window")
 
 
+def _window_quad(integrand, extent: float, tol: float, points=()) -> tuple[float, float]:
+    """Integral of ``integrand`` over [-extent, extent] and its error estimate.
+
+    The integrand at both ends is added to the estimate for the mass outside
+    the window; overflow goes unwarned, as the density route checks for inf.
+    """
+    with np.errstate(over="ignore"):
+        res = adaptive_quad(
+            integrand, -extent, extent, tol_abs=0.5 * tol, tol_rel=min(1e-12, tol),
+            max_panels=8192, points=points,
+        )
+        boundary = float(integrand(np.array([-extent]))[0] + integrand(np.array([extent]))[0])
+    return res.value, res.error + boundary
+
+
 def mgf_via_density(density: AnalyticDensity, t: float, tol: float = 1e-10) -> MGFValue:
     """E exp(tX) by exp-tilted adaptive quadrature of the density.
 
@@ -490,8 +471,6 @@ def mgf_via_density(density: AnalyticDensity, t: float, tol: float = 1e-10) -> M
             f"E[exp(tX)] diverges for |t| >= {density.tail_rate} on {density.name!r}"
         )
     extent = _tilted_window(density, t)
-    lo, hi = -extent, extent
-
     overflow = f"E[exp(tX)] at t = {t} overflows the double range on {density.name!r}"
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -500,31 +479,20 @@ def mgf_via_density(density: AnalyticDensity, t: float, tol: float = 1e-10) -> M
             raise DivergenceError(overflow)
         return y
 
-    pts = [s for s in density.singular_points if lo < s < hi]
+    pts = [s for s in density.singular_points if -extent < s < extent]
     if 0.0 not in pts:
         pts.append(0.0)
     # geometric initial panels: on a very wide window a single panel would
     # hide the O(1)-scale structure from the 15 Kronrod nodes and deceive
     # the error estimate
     scale = 1.0
-    while scale < hi:
+    while scale < extent:
         pts += [scale, -scale]
         scale *= 2.0
-    with np.errstate(over="ignore"):
-        res = adaptive_quad(
-            integrand,
-            lo,
-            hi,
-            tol_abs=0.5 * tol,
-            tol_rel=min(1e-12, tol),
-            max_panels=8192,
-            points=pts,
-        )
-        boundary = float(integrand(np.array([lo]))[0] + integrand(np.array([hi]))[0])
-    error = res.error + boundary
-    if not (math.isfinite(res.value) and math.isfinite(error)):
+    value, error = _window_quad(integrand, extent, tol, pts)
+    if not (math.isfinite(value) and math.isfinite(error)):
         raise DivergenceError(overflow)
-    return MGFValue(t, res.value, error, MGFMethod.DENSITY_QUADRATURE)
+    return MGFValue(t, value, error, MGFMethod.DENSITY_QUADRATURE)
 
 
 def mgf_via_conditioning(t: float, tol: float = 1e-10) -> MGFValue:
@@ -545,12 +513,8 @@ def mgf_via_conditioning(t: float, tol: float = 1e-10) -> MGFValue:
     def integrand(x: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * shrink * x * x) / math.sqrt(2.0 * math.pi)
 
-    res = adaptive_quad(
-        integrand, -extent, extent, tol_abs=0.5 * tol, tol_rel=min(1e-12, tol),
-        max_panels=8192,
-    )
-    boundary = 2.0 * float(integrand(np.array([extent]))[0])
-    return MGFValue(t, res.value, res.error + boundary, MGFMethod.GAUSSIAN_CONDITIONING)
+    value, error = _window_quad(integrand, extent, tol)
+    return MGFValue(t, value, error, MGFMethod.GAUSSIAN_CONDITIONING)
 
 
 def mgf_difference_closed_form(t: float) -> MGFValue:

@@ -171,7 +171,7 @@ def _reference_uniforms(key, start, count):
 
 
 def _reference_values(generator, seed, n):
-    w = mc._NORMALS_PER_VALUE[generator]
+    w = mc._STREAMS[generator][1]
     key = mc._stream_key(generator, seed)
     z = ndtri(_reference_uniforms(key, 0, w * n).reshape(n, w))
     if generator is Generator.NORMAL_PRODUCT:
@@ -190,7 +190,7 @@ def _values_in_pieces(generator, seed, n, k):
 
 
 def _block_sizes(generator):
-    b = mc._BLOCK // mc._NORMALS_PER_VALUE[generator]
+    b = mc._BLOCK // mc._STREAMS[generator][1]
     return (1, b - 1, b, b + 1, 3 * b + 7)
 
 
