@@ -34,7 +34,6 @@ from .errors import (
 )
 from .mc import GOLDEN_SEEDS, Generator, KSReport, SampleBatch, ks_statistic, sample
 from .shape import (
-    Outcome,
     ShapeProperty,
     ShapeVerdict,
     Witness,
@@ -42,11 +41,7 @@ from .shape import (
     check_log_convexity_interval,
     check_ratio_monotonicity,
 )
-from .specfun import (
-    EvalResult,
-    bessel_k0_quadrature_oracle,
-    bessel_k1_quadrature_oracle,
-)
+from .specfun import bessel_k0_quadrature_oracle, bessel_k1_quadrature_oracle
 from .transform import (
     MGFMethod,
     MGFValue,
@@ -63,7 +58,6 @@ __all__ = [
     "AnalyticDensity",
     "DivergenceError",
     "DomainError",
-    "EvalResult",
     "GOLDEN_SEEDS",
     "Generator",
     "GridDensity",
@@ -72,7 +66,6 @@ __all__ = [
     "MGFValue",
     "NonConvergenceError",
     "NotNormalizedError",
-    "Outcome",
     "SampleBatch",
     "ShapeProperty",
     "ShapeVerdict",

@@ -278,10 +278,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # every lclab error but NonConvergenceError is a ValueError
+    # every lclab error but NonConvergenceError is a ValueError; a MemoryError
+    # is an --n whose arrays cannot be allocated
     try:
         return _COMMANDS[args.command](args)
-    except (NonConvergenceError, ValueError, OSError) as exc:
+    except (NonConvergenceError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
 

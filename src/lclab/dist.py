@@ -287,17 +287,14 @@ class GridDensity:
             if ln.startswith("#"):
                 body = ln.lstrip("#").strip()
                 if body.lower().startswith("trusted-half-width:"):
-                    trusted = float(body.split(":", 1)[1])
+                    (trusted,) = _csv_floats([body.split(":", 1)[1]])
                 elif body.lower().startswith("singular-points:"):
-                    singular = tuple(float(tok) for tok in body.split(":", 1)[1].split())
+                    singular = _csv_floats(body.split(":", 1)[1].split())
                 continue
             lines.append(ln)
         if not lines or lines[0].lower() != "x,density":
             raise ValueError("expected header 'x,density'")
-        try:
-            rows = [tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]]
-        except ValueError as exc:
-            raise ValueError(f"malformed grid CSV: {exc}") from None
+        rows = [_csv_floats(ln.split(",")) for ln in lines[1:]]
         if any(len(r) != 2 for r in rows) or len(rows) < 2:
             raise ValueError("grid CSV needs >= 2 rows of 'x,density'")
         x = np.array([r[0] for r in rows])
@@ -317,6 +314,13 @@ class GridDensity:
             # rounding only, the comment line gives it exactly
             half_width = trusted
         return cls(half_width, v, singular_points=singular, trusted_half_width=trusted)
+
+
+def _csv_floats(tokens) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in tokens)
+    except ValueError as exc:
+        raise ValueError(f"malformed grid CSV: {exc}") from None
 
 
 def _cell_average(density: AnalyticDensity, lo: float, hi: float) -> float:
@@ -385,21 +389,3 @@ def moment(grid: GridDensity, p: int) -> float:
         raise DomainError("moment order must be an integer in [0, 8]")
     return grid.step * float(np.sum(grid.nodes**p * grid.values))
 
-
-def density_mass(density: AnalyticDensity, tol: float = 1e-8) -> float:
-    """Total mass of an analytic density by adaptive quadrature.
-
-    Splits at singular points; the integration window is chosen from the
-    tail decay rate so the omitted tail is far below ``tol``.
-    """
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
-    rate = density.tail_rate
-    extent = 40.0 if not math.isfinite(rate) else max(40.0, 50.0 / rate)
-    lo, hi = -extent, extent
-    pts = [s for s in density.singular_points if lo < s < hi]
-    pts.append(0.0)
-    res = adaptive_quad(
-        density.pdf, lo, hi, tol_abs=0.5 * tol, tol_rel=0.0, max_panels=4096, points=pts
-    )
-    return res.value

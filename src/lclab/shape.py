@@ -43,11 +43,6 @@ class ShapeProperty(enum.Enum):
     RATIO_INCREASING = "ratio-increasing"
 
 
-class Outcome(enum.Enum):
-    HOLDS = "holds"
-    FAILS = "fails"
-
-
 @dataclass(frozen=True)
 class Witness:
     """A triple x < y with midpoint m violating the checked inequality.
@@ -77,26 +72,21 @@ class Witness:
 
 @dataclass(frozen=True)
 class ShapeVerdict:
-    """Outcome of a shape check; ``witness`` is present iff it fails."""
+    """Verdict of a shape check: it holds iff there is no witness."""
 
     property: ShapeProperty
-    outcome: Outcome
     witness: Witness | None
     tolerance: float
     domain_checked: tuple[float, float]
 
-    def __post_init__(self):
-        if (self.outcome is Outcome.FAILS) != (self.witness is not None):
-            raise ValueError("witness must be present exactly when the check fails")
-
     @property
     def holds(self) -> bool:
-        return self.outcome is Outcome.HOLDS
+        return self.witness is None
 
     def as_dict(self) -> dict:
         out = {
             "property": self.property.value,
-            "outcome": self.outcome.value,
+            "outcome": "holds" if self.holds else "fails",
             "tolerance": self.tolerance,
             "domain": [self.domain_checked[0], self.domain_checked[1]],
         }
@@ -194,7 +184,7 @@ def check_log_concavity_grid(g: GridDensity, tol: float) -> ShapeVerdict:
         keys.append(_witness_key(viol, nodes[:pairs], nodes[2 * j :], tol, j, shift=j))
     best = min(filter(None, keys), default=None)
     if best is None:
-        return ShapeVerdict(ShapeProperty.LOG_CONCAVE, Outcome.HOLDS, None, tol, domain)
+        return ShapeVerdict(ShapeProperty.LOG_CONCAVE, None, tol, domain)
     neg_v, _, m, k, j = best
     witness = Witness(
         x=float(nodes[k - j]),
@@ -204,7 +194,7 @@ def check_log_concavity_grid(g: GridDensity, tol: float) -> ShapeVerdict:
         rhs=float(0.5 * (logv[k - j] + logv[k + j])),
         violation=-neg_v,
     )
-    return ShapeVerdict(ShapeProperty.LOG_CONCAVE, Outcome.FAILS, witness, tol, domain)
+    return ShapeVerdict(ShapeProperty.LOG_CONCAVE, witness, tol, domain)
 
 
 def _probes(a: float, b: float, n_probes: int) -> np.ndarray:
@@ -244,9 +234,7 @@ def check_log_convexity_interval(
         keys.append(_witness_key(viol, x, y, tol, j))
     best = min(filter(None, keys), default=None)
     if best is None:
-        return ShapeVerdict(
-            ShapeProperty.LOG_CONVEX_ON_INTERVAL, Outcome.HOLDS, None, tol, (a, b)
-        )
+        return ShapeVerdict(ShapeProperty.LOG_CONVEX_ON_INTERVAL, None, tol, (a, b))
     neg_v, _, m, i, j = best
     witness = Witness(
         x=float(probes[i]),
@@ -256,9 +244,7 @@ def check_log_convexity_interval(
         rhs=float(0.5 * (logf[i] + logf[i + 2 * j])),
         violation=-neg_v,
     )
-    return ShapeVerdict(
-        ShapeProperty.LOG_CONVEX_ON_INTERVAL, Outcome.FAILS, witness, tol, (a, b)
-    )
+    return ShapeVerdict(ShapeProperty.LOG_CONVEX_ON_INTERVAL, witness, tol, (a, b))
 
 
 def check_ratio_monotonicity(a: float, b: float, n_probes: int) -> ShapeVerdict:
@@ -276,7 +262,7 @@ def check_ratio_monotonicity(a: float, b: float, n_probes: int) -> ShapeVerdict:
     # a drop of exactly 0 fails too: no double lies between -0 and this tol
     best = _witness_key(r[:-1] - r[1:], probes[:-1], probes[1:], -5e-324, 1)
     if best is None:
-        return ShapeVerdict(ShapeProperty.RATIO_INCREASING, Outcome.HOLDS, None, 0.0, (a, b))
+        return ShapeVerdict(ShapeProperty.RATIO_INCREASING, None, 0.0, (a, b))
     neg_v, _, m, i, _ = best
     witness = Witness(
         x=float(probes[i]),
@@ -286,4 +272,4 @@ def check_ratio_monotonicity(a: float, b: float, n_probes: int) -> ShapeVerdict:
         rhs=float(r[i]),
         violation=-neg_v,
     )
-    return ShapeVerdict(ShapeProperty.RATIO_INCREASING, Outcome.FAILS, witness, 0.0, (a, b))
+    return ShapeVerdict(ShapeProperty.RATIO_INCREASING, witness, 0.0, (a, b))

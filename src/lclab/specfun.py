@@ -14,13 +14,12 @@ verification pipelines, not production evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import k0, k0e, k1e
 
 from .errors import DomainError
-from .quadrature import adaptive_quad
+from .quadrature import QuadResult, adaptive_quad
 
 # exp(z) underflows to zero in double precision below roughly -745.13;
 # integrands/results beyond that are truncated or flushed to zero.
@@ -30,14 +29,6 @@ _EXP_UNDERFLOW = 745.0
 # cosh(t*) ~ 745/x, which overflows near x ~ 4e-306, so the oracles stop
 # at a round floor with margin (there K0 ~ 690.9 and K1 ~ 1/x are finite).
 _ORACLE_MIN_X = 1e-300
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """A function value together with an absolute error bound."""
-
-    value: float
-    abs_error_bound: float
 
 
 def _validate_positive(x) -> np.ndarray:
@@ -67,7 +58,7 @@ def k_ratio_values(x) -> np.ndarray:
     return -k1e(x) / k0e(x)
 
 
-def _k_oracle(x: float, order: int, tol: float) -> EvalResult:
+def _k_oracle(x: float, order: int, tol: float) -> QuadResult:
     """K0 (order 0) or K1 (order 1) of x by adaptive quadrature.
 
     K_order(x) = int_0^inf exp(-x cosh t) cosh(order t) dt; the integrand
@@ -75,7 +66,8 @@ def _k_oracle(x: float, order: int, tol: float) -> EvalResult:
     falls to the exp underflow bound (the cosh factor pushes t* a touch
     further for order 1), so the tail beyond is below one subnormal unit.
     Below ``_ORACLE_MIN_X`` the truncation point is not representable and
-    the oracle raises DomainError.
+    the oracle raises DomainError.  The error adds that subnormal unit to
+    the quadrature's estimate; from x = 745 on the value is 0 from no panels.
     """
     x = float(x)
     if not x > 0.0:
@@ -85,7 +77,7 @@ def _k_oracle(x: float, order: int, tol: float) -> EvalResult:
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     if x >= _EXP_UNDERFLOW:
-        return EvalResult(0.0, 5e-324)
+        return QuadResult(0.0, 5e-324, 0)
     shift = math.log(_EXP_UNDERFLOW / x) if order else 0.0
     tstar = float(np.arccosh((_EXP_UNDERFLOW + shift) / x))
 
@@ -95,10 +87,10 @@ def _k_oracle(x: float, order: int, tol: float) -> EvalResult:
         return v * c if order else v
 
     res = adaptive_quad(integrand, 0.0, tstar, tol_rel=tol, tol_abs=0.0, max_panels=4000)
-    return EvalResult(res.value, res.error + 5e-324)
+    return QuadResult(res.value, res.error + 5e-324, res.n_panels)
 
 
-def bessel_k0_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
+def bessel_k0_quadrature_oracle(x: float, tol: float = 1e-14) -> QuadResult:
     """K0(x) by adaptive quadrature of int_0^inf exp(-x cosh t) dt.
 
     Independent of the scipy evaluation; intended as a test
@@ -107,6 +99,6 @@ def bessel_k0_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
     return _k_oracle(x, 0, tol)
 
 
-def bessel_k1_quadrature_oracle(x: float, tol: float = 1e-14) -> EvalResult:
+def bessel_k1_quadrature_oracle(x: float, tol: float = 1e-14) -> QuadResult:
     """K1(x) by adaptive quadrature of int_0^inf exp(-x cosh t) cosh t dt."""
     return _k_oracle(x, 1, tol)

@@ -129,7 +129,7 @@ def _mgf_factorization_step(
     worst = 0.0
     worst_conditioning = 0.0
     for t in _FACTORIZATION_T:
-        closed = transform.mgf_difference_closed_form(t).value
+        closed = transform.mgf_difference_closed_form(t)
         worst = max(worst, abs(mgf[t] * mgf[-t] - closed))
         m = conditioning[abs(t)]
         worst_conditioning = max(worst_conditioning, abs(m * m - closed))

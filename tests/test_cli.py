@@ -69,6 +69,27 @@ def test_selfdiff_of_massless_grid_exits_1(tmp_path, capsys):
     assert err.startswith("error: grid mass 0.0 differs from 1")
 
 
+def test_malformed_grid_csv_exits_1(tmp_path, capsys):
+    grid_path = tmp_path / "bad.csv"
+    grid_path.write_text("# trusted-half-width: abc\nx,density\n-0.5,1\n0.5,1\n")
+    for command in ("selfdiff", "shape --property log-concave"):
+        code, out, err = run_cli(capsys, *command.split(), "--in", str(grid_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: malformed grid CSV: could not convert string to float: ' abc'\n"
+
+
+def test_selfdiff_json_carries_provenance(capsys):
+    code, out, _ = run_cli(
+        capsys, "selfdiff", "--law", "normal-product", "--cells", "256", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n_cells"] == 512
+    assert payload["trusted_half_width"] == 12.0
+    assert payload["singular_points"] == [0.0]
+
+
 def test_shape_on_raw_product_grid_fails(tmp_path, capsys):
     grid_path = tmp_path / "prod.csv"
     run_cli(capsys, "density", "--law", "normal-product", "--out", str(grid_path))
@@ -111,6 +132,13 @@ def test_mgf_divergent_t_exits_1(capsys):
     assert "diverges" in err
 
 
+def test_mgf_without_a_decaying_window_exits_1(capsys):
+    code, out, err = run_cli(capsys, "mgf", "--law", "normal", "--t", "1e200")
+    assert code == 1
+    assert out == ""
+    assert err == "error: could not find a decaying integration window\n"
+
+
 @pytest.mark.parametrize("t", ["37.7", "40"])
 def test_mgf_past_the_double_range_exits_1(t, capsys):
     # E exp(tX) = exp(t^2/2) for the normal law exceeds the double range for
@@ -151,6 +179,20 @@ def test_sample_csv_and_ks_json(tmp_path, capsys):
         "--n", "2000", "--out", str(again),
     )
     assert again.read_text() == values_path.read_text()
+
+
+def test_unallocatable_sample_size_exits_1(capsys):
+    # 2^59 doubles are 4 EiB, past any address space: numpy refuses the
+    # allocation before touching memory (smaller sizes may be overcommitted)
+    n = str(2**59)
+    for argv in (
+        ("sample", "--generator", "normal-product", "--seed", "1", "--n", n),
+        ("verify-theorem", "--with-mc", "--n", n),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Unable to allocate 4.00 EiB") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_2(capsys):

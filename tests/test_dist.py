@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lclab import dist, mc
+from lclab import dist, mc, transform
 from lclab.errors import DomainError, SingularityError
 
 # frozen from the quadrature-oracle run
@@ -89,7 +89,7 @@ def test_normal_product_cdf_rejects_bad_tol():
 @pytest.mark.parametrize("name", ["normal", "laplace", "normal-product"])
 def test_builtin_densities_normalized(name):
     d = dist.builtin_density(name)
-    assert dist.density_mass(d, 1e-10) == pytest.approx(1.0, abs=1e-8)
+    assert transform.mgf_via_density(d, 0.0, 1e-10).value == pytest.approx(1.0, abs=1e-8)
 
 
 def test_builtin_density_unknown_name():
@@ -259,11 +259,29 @@ def test_csv_round_trip_arbitrary_metadata(g):
     assert back.singular_points == g.singular_points
 
 
+MALFORMED_CSV = [
+    ("nope\n1,2\n", "expected header 'x,density'"),
+    ("x,density\n0.5,1\n1.5,1\n2.6,1\n3.5,1\n", "must be uniformly increasing"),
+    ("x,density\n-0.5,abc\n0.5,1\n", "malformed grid CSV: could not convert string to float: 'abc'"),
+    ("x,density\n0.5,1\n", "needs >= 2 rows"),
+    ("x,density\n-1,1\n0,1\n1,1\n", "must have an even number of rows"),
+    ("x,density\n0.5,1\n1.5,1\n", "are not a midpoint grid"),
+    (
+        "# trusted-half-width: abc\nx,density\n-0.5,1\n0.5,1\n",
+        "malformed grid CSV: could not convert string to float: ' abc'",
+    ),
+    (
+        "# singular-points: 0 z\nx,density\n-0.5,1\n0.5,1\n",
+        "malformed grid CSV: could not convert string to float: 'z'",
+    ),
+]
+
+
 def test_csv_rejects_malformed():
-    with pytest.raises(ValueError):
-        dist.GridDensity.from_csv("nope\n1,2\n")
-    with pytest.raises(ValueError):
-        dist.GridDensity.from_csv("x,density\n0.5,1\n1.5,1\n2.6,1\n3.5,1\n")
+    for text, message in MALFORMED_CSV:
+        with pytest.raises(ValueError) as info:
+            dist.GridDensity.from_csv(text)
+        assert message in str(info.value), text
 
 
 def test_grid_validation():

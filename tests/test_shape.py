@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lclab import dist, shape, transform
-from lclab.shape import Outcome, ShapeProperty
+from lclab.shape import ShapeProperty
 from lclab.specfun import k0_values, k_ratio_values
 
 # frozen from the quadrature-oracle run: K0(1)^2 vs K0(0.5) K0(1.5)
@@ -17,14 +17,14 @@ K0_HALF_TIMES_K0_1P5 = 0.19764593964593427
 
 def test_laplace_grid_is_log_concave(laplace_grid):
     verdict = shape.check_log_concavity_grid(laplace_grid, 1e-9)
-    assert verdict.outcome is Outcome.HOLDS
+    assert verdict.holds
     assert verdict.witness is None
     assert verdict.property is ShapeProperty.LOG_CONCAVE
 
 
 def test_product_grid_fails_log_concavity(product_grid):
     verdict = shape.check_log_concavity_grid(product_grid, 1e-9)
-    assert verdict.outcome is Outcome.FAILS
+    assert not verdict.holds
     w = verdict.witness
     assert w is not None
     # maximal-violation witness straddles the origin spike
@@ -58,7 +58,7 @@ def test_product_witness_is_genuine_for_analytic_density(product_grid):
 
 def test_selfdiff_grid_is_log_concave(product_selfdiff):
     verdict = shape.check_log_concavity_grid(product_selfdiff, 1e-6)
-    assert verdict.outcome is Outcome.HOLDS
+    assert verdict.holds
     assert verdict.domain_checked == (-12.0, 12.0)
 
 
@@ -82,7 +82,7 @@ def test_verdict_triple_stable_under_n_doubling():
 
 def test_k0_log_convexity_interval():
     verdict = shape.check_log_convexity_interval(k0_values, 0.01, 30.0, 2048, 1e-10)
-    assert verdict.outcome is Outcome.HOLDS
+    assert verdict.holds
     assert verdict.property is ShapeProperty.LOG_CONVEX_ON_INTERVAL
 
 
@@ -105,7 +105,7 @@ def test_gaussian_fails_log_convexity():
     verdict = shape.check_log_convexity_interval(
         lambda x: np.exp(-x * x), 0.1, 5.0, 512, 1e-10
     )
-    assert verdict.outcome is Outcome.FAILS
+    assert not verdict.holds
     w = verdict.witness
     # witness reproduces on fresh evaluation
     fresh = -w.midpoint**2 - 0.5 * (-w.x**2 - w.y**2)
@@ -115,7 +115,7 @@ def test_gaussian_fails_log_convexity():
 
 def test_ratio_monotonicity_holds():
     verdict = shape.check_ratio_monotonicity(0.1, 20.0, 512)
-    assert verdict.outcome is Outcome.HOLDS
+    assert verdict.holds
     assert verdict.property is ShapeProperty.RATIO_INCREASING
 
 
@@ -128,7 +128,7 @@ def test_convexity_and_ratio_checks_agree():
     a, b = 0.05, 25.0
     convex = shape.check_log_convexity_interval(k0_values, a, b, 1024, 1e-10)
     ratio = shape.check_ratio_monotonicity(a, b, 1024)
-    assert convex.outcome == ratio.outcome == Outcome.HOLDS
+    assert convex.holds and ratio.holds
 
 
 def test_ratio_check_rejects_probes_where_the_ratio_overflows():
@@ -149,7 +149,7 @@ def test_ratio_check_fails_with_tie_broken_by_smallest_midpoint(monkeypatch):
         shape, "k_ratio_values", lambda p: np.array([0.0, 1.0, 0.5, 1.5, 1.0])
     )
     verdict = shape.check_ratio_monotonicity(1.0, 16.0, 5)
-    assert verdict.outcome is Outcome.FAILS
+    assert not verdict.holds
     assert verdict.tolerance == 0.0
     probes = np.geomspace(1.0, 16.0, 5)
     w = verdict.witness
@@ -163,7 +163,7 @@ def test_grid_witness_tie_prefers_negative_midpoint_then_smallest_stride():
     # reaching a dent from flat neighbours sees the same violation ln 2
     g = dist.GridDensity(4.0, np.array([1.0, 1.0, 0.5, 1.0, 1.0, 0.5, 1.0, 1.0]))
     verdict = shape.check_log_concavity_grid(g, 1e-9)
-    assert verdict.outcome is Outcome.FAILS
+    assert not verdict.holds
     w = verdict.witness
     assert (w.x, w.y, w.midpoint) == (-2.5, -0.5, -1.5)
     assert (w.lhs, w.rhs) == (-math.log(2.0), 0.0)
@@ -350,7 +350,7 @@ def test_scale_invariance(product_grid, scale):
     )
     base = shape.check_log_concavity_grid(product_grid, 1e-9)
     other = shape.check_log_concavity_grid(scaled, 1e-9)
-    assert base.outcome == other.outcome
+    assert base.holds == other.holds
     assert other.witness.midpoint == base.witness.midpoint
     assert other.witness.violation == pytest.approx(base.witness.violation, abs=1e-12)
 
@@ -367,13 +367,6 @@ def test_preservation_under_difference(normal_grid, laplace_grid):
     for g in (normal_grid, laplace_grid):
         assert shape.check_log_concavity_grid(g, 1e-9).holds
         assert shape.check_log_concavity_grid(transform.self_difference(g), 1e-8).holds
-
-
-def test_verdict_witness_consistency_enforced():
-    with pytest.raises(ValueError):
-        shape.ShapeVerdict(
-            ShapeProperty.LOG_CONCAVE, Outcome.FAILS, None, 1e-9, (0.0, 1.0)
-        )
 
 
 def test_verdict_json_dict(product_grid):

@@ -62,6 +62,12 @@ def test_domain_errors(bad):
         sf.bessel_k0_quadrature_oracle(bad)
 
 
+def test_infinite_argument_is_a_domain_error():
+    for fn in (sf.k0_values, sf.log_k0_values, sf.k_ratio_values):
+        with pytest.raises(DomainError, match="argument must be finite"):
+            fn([np.inf])
+
+
 @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
 def test_oracles_reject_subnormal_arguments(tiny):
     for oracle in (sf.bessel_k0_quadrature_oracle, sf.bessel_k1_quadrature_oracle):
@@ -189,7 +195,16 @@ def test_branch_seam_discrepancy():
 def test_eval_result_bounds_nonnegative():
     for x in (0.1, 1.0, 10.0, 300.0):
         for oracle in (sf.bessel_k0_quadrature_oracle, sf.bessel_k1_quadrature_oracle):
-            assert oracle(x).abs_error_bound >= 0.0
+            res = oracle(x)
+            assert res.error >= 0.0
+            assert res.n_panels > 0
+
+
+@pytest.mark.parametrize("x", [745.0, 800.0, 1e300])
+def test_oracles_underflow_to_zero_from_745(x):
+    for oracle in (sf.bessel_k0_quadrature_oracle, sf.bessel_k1_quadrature_oracle):
+        res = oracle(x)
+        assert (res.value, res.error, res.n_panels) == (0.0, 5e-324, 0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,5 +1,8 @@
 import math
 
+import pytest
+from scipy.special import kolmogi
+
 from lclab import dist, transform, verify
 
 
@@ -56,7 +59,7 @@ def test_mgf_steps_equal_direct_uncached_evaluation():
     worst_product = 0.0
     worst_conditioning_product = 0.0
     for t in verify._FACTORIZATION_T:
-        closed = transform.mgf_difference_closed_form(t).value
+        closed = transform.mgf_difference_closed_form(t)
         worst_product = max(worst_product, abs(m(t) * m(-t) - closed))
         worst_conditioning_product = max(worst_conditioning_product, abs(c(t) * c(-t) - closed))
     expected = [
@@ -92,3 +95,16 @@ def test_factorization_step_needs_both_routes():
     off = verify._mgf_factorization_step(mgf, {t: v + 1e-6 for t, v in conditioning.items()})
     assert not off.passed
     assert off.metrics["max_abs_err_conditioning_route"] > verify._FACTORIZATION_TOL
+
+
+def test_monte_carlo_step_at_small_n():
+    report = verify.run_verification(with_mc=True, mc_n=20_000)
+    assert len(report.steps) == 6
+    step = report.steps[-1]
+    assert (step.name, step.passed) == ("monte-carlo", True)
+    m = step.metrics
+    assert (m["laplace_ks_passes"], m["product_law_ks_failures"], m["n"]) == (10, 10, 20000)
+    assert m["threshold"] == kolmogi(0.001)
+    # frozen like test_mc.GOLDEN_SCALED: the seeded draws are bit-reproducible
+    assert m["max_scaled_statistic"] == pytest.approx(1.3815504068384434, rel=1e-9)
+    assert m["min_product_scaled_statistic"] == pytest.approx(13.871784659066211, rel=1e-9)
