@@ -126,18 +126,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-theorem", help="run the full verification pipeline")
-    p.add_argument("--half-width", type=_positive_float, default=12.0)
-    p.add_argument("--cells", type=_cell_count, default=4096)
-    p.add_argument("--tol-shape", type=_positive_float, default=1e-9)
-    p.add_argument("--tol-mgf", type=_positive_float, default=1e-8)
+    p.add_argument("--half-width", type=_positive_float, default=verify.HALF_WIDTH)
+    p.add_argument("--cells", type=_cell_count, default=verify.N_CELLS)
+    p.add_argument("--tol-shape", type=_positive_float, default=verify.TOL_SHAPE)
+    p.add_argument("--tol-mgf", type=_positive_float, default=verify.TOL_MGF)
     p.add_argument("--with-mc", action="store_true", help="include the seeded KS step")
-    p.add_argument("--n", type=_at_least(1), default=10**6, help="Monte Carlo sample size")
+    p.add_argument("--n", type=_at_least(1), default=verify.MC_N, help="Monte Carlo sample size")
     p.add_argument("--out", default=None, help="write the JSON report here ('-' = stdout)")
 
     p = sub.add_parser("density", help="write a discretized density as CSV")
     p.add_argument("--law", choices=dist.builtin_density_names(), required=True)
-    p.add_argument("--half-width", type=_positive_float, default=12.0)
-    p.add_argument("--cells", type=_cell_count, default=4096)
+    p.add_argument("--half-width", type=_positive_float, default=verify.HALF_WIDTH)
+    p.add_argument("--cells", type=_cell_count, default=verify.N_CELLS)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -145,8 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--law", choices=dist.builtin_density_names())
     src.add_argument("--in", dest="infile", help="grid CSV path ('-' = stdin)")
-    p.add_argument("--half-width", type=_positive_float, default=12.0)
-    p.add_argument("--cells", type=_cell_count, default=4096)
+    p.add_argument("--half-width", type=_positive_float, default=verify.HALF_WIDTH)
+    p.add_argument("--cells", type=_cell_count, default=verify.N_CELLS)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -178,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--out", default="-", help="values CSV")
     p.add_argument("--ks", action="store_true", help="also test against the Laplace CDF")
-    p.add_argument("--alpha", type=_open_unit_float, default=0.001)
+    p.add_argument("--alpha", type=_open_unit_float, default=mc.KS_ALPHA)
     p.add_argument("--ks-out", default=None, help="KS report JSON path")
     return parser
 
@@ -231,7 +231,7 @@ def _cmd_mgf(args) -> int:
             row[key] = {
                 "value": m.value,
                 "abs_error_estimate": m.abs_error_estimate,
-                "method": m.method.value,
+                "method": key.replace("_", "-"),
             }
         rows.append(row)
     _write_text(args.out, _json_dumps(rows))

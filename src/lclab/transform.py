@@ -54,7 +54,6 @@ a density, and (for the normal-product law) Gaussian conditioning,
 from __future__ import annotations
 
 import bisect
-import enum
 import math
 from dataclasses import dataclass
 
@@ -97,13 +96,6 @@ _TINY = float(np.finfo(float).tiny)
 _MASS_TOL = 1e-6
 
 
-class MGFMethod(enum.Enum):
-    """Which route produced an MGF value."""
-
-    DENSITY_QUADRATURE = "density-quadrature"
-    GAUSSIAN_CONDITIONING = "gaussian-conditioning"
-
-
 @dataclass(frozen=True)
 class MGFValue:
     """An MGF evaluation at t with an absolute error estimate."""
@@ -111,7 +103,6 @@ class MGFValue:
     t: float
     value: float
     abs_error_estimate: float
-    method: MGFMethod
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -457,6 +448,10 @@ def _window_quad(integrand, extent: float, tol: float, points=()) -> tuple[float
 def mgf_via_density(density: AnalyticDensity, t: float, tol: float = 1e-10) -> MGFValue:
     """E exp(tX) by exp-tilted adaptive quadrature of the density.
 
+    The estimate adds eps * value times the largest |t*x| + |log_pdf(x)| at a
+    node with a positive integrand: the rounding of the exponent, which grows
+    with the window 48/(rate - |t|) and dominates near the tail rate.
+
     Raises :class:`DivergenceError` when |t| reaches the tail decay rate
     (the integral diverges there) or when the integrand, the value or its
     error estimate overflows the double range; quadrature budget exhaustion
@@ -471,11 +466,18 @@ def mgf_via_density(density: AnalyticDensity, t: float, tol: float = 1e-10) -> M
         )
     extent = _tilted_window(density, t)
     overflow = f"E[exp(tX)] at t = {t} overflows the double range on {density.name!r}"
+    exponent_scale = 0.0  # largest |t*x| + |log_pdf(x)| at any node where y > 0
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        y = np.exp(t * x + density.log_pdf(x))
+        nonlocal exponent_scale
+        tx = t * x
+        log_pdf = density.log_pdf(x)
+        y = np.exp(tx + log_pdf)
         if np.isinf(y).any():
             raise DivergenceError(overflow)
+        # a node where y underflows to 0 (log_pdf may be -inf) adds no rounding
+        terms = np.abs(tx) + np.abs(log_pdf)
+        exponent_scale = max(exponent_scale, float(np.max(terms, where=y > 0.0, initial=0.0)))
         return y
 
     pts = [s for s in density.singular_points if -extent < s < extent]
@@ -489,9 +491,10 @@ def mgf_via_density(density: AnalyticDensity, t: float, tol: float = 1e-10) -> M
         pts += [scale, -scale]
         scale *= 2.0
     value, error = _window_quad(integrand, extent, tol, pts)
+    error += _EPS * exponent_scale * value
     if not (math.isfinite(value) and math.isfinite(error)):
         raise DivergenceError(overflow)
-    return MGFValue(t, value, error, MGFMethod.DENSITY_QUADRATURE)
+    return MGFValue(t, value, error)
 
 
 def mgf_via_conditioning(t: float, tol: float = 1e-10) -> MGFValue:
@@ -513,7 +516,7 @@ def mgf_via_conditioning(t: float, tol: float = 1e-10) -> MGFValue:
         return np.exp(-0.5 * shrink * x * x) / math.sqrt(2.0 * math.pi)
 
     value, error = _window_quad(integrand, extent, tol)
-    return MGFValue(t, value, error, MGFMethod.GAUSSIAN_CONDITIONING)
+    return MGFValue(t, value, error)
 
 
 def mgf_difference_closed_form(t: float) -> float:

@@ -32,7 +32,13 @@ _RATIO_INTERVAL = (0.1, 20.0)
 _RATIO_PROBES = 512
 #: K0 from deep in its log singularity to just short of its underflow
 _DOUBLE_RANGE_INTERVAL = (1e-300, 700.0)
-_MC_ALPHA = 0.001
+
+#: Defaults of ``run_verification``, shared by ``lclab verify-theorem``, ``density``, ``selfdiff``
+HALF_WIDTH = 12.0
+N_CELLS = 4096
+TOL_SHAPE = 1e-9
+TOL_MGF = 1e-8
+MC_N = 10**6
 
 
 @dataclass(frozen=True)
@@ -205,10 +211,8 @@ def _shape_step(
 
 def _monte_carlo_step(n: int) -> StepResult:
     seeds = mc.GOLDEN_SEEDS
-    good = mc.ks_over_seeds(
-        mc.Generator.PRODUCT_SELF_DIFFERENCE, seeds, n, dist.laplace_cdf, _MC_ALPHA
-    )
-    bad = mc.ks_over_seeds(mc.Generator.NORMAL_PRODUCT, seeds, n, dist.laplace_cdf, _MC_ALPHA)
+    good = mc.ks_over_seeds(mc.Generator.PRODUCT_SELF_DIFFERENCE, seeds, n, dist.laplace_cdf)
+    bad = mc.ks_over_seeds(mc.Generator.NORMAL_PRODUCT, seeds, n, dist.laplace_cdf)
     n_pass = sum(r.passed for r in good)
     n_bad_fail = sum(not r.passed for r in bad)
     passed = n_pass >= len(seeds) - 1 and n_bad_fail == len(seeds)
@@ -221,7 +225,7 @@ def _monte_carlo_step(n: int) -> StepResult:
             "max_scaled_statistic": max(r.scaled for r in good),
             "product_law_ks_failures": float(n_bad_fail),
             "min_product_scaled_statistic": min(r.scaled for r in bad),
-            "alpha": _MC_ALPHA,
+            "alpha": good[0].alpha,
             "threshold": good[0].threshold,
             "n": float(n),
         },
@@ -229,12 +233,12 @@ def _monte_carlo_step(n: int) -> StepResult:
 
 
 def run_verification(
-    half_width: float = 12.0,
-    n_cells: int = 4096,
-    tol_shape: float = 1e-9,
-    tol_mgf: float = 1e-8,
+    half_width: float = HALF_WIDTH,
+    n_cells: int = N_CELLS,
+    tol_shape: float = TOL_SHAPE,
+    tol_mgf: float = TOL_MGF,
     with_mc: bool = False,
-    mc_n: int = 10**6,
+    mc_n: int = MC_N,
 ) -> VerificationReport:
     """Run the full pipeline and collect one report."""
     product_grid = dist.discretize(dist.normal_product(), half_width, n_cells)

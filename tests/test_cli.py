@@ -124,6 +124,9 @@ def test_mgf_reports_both_methods(capsys):
     assert rows[0]["density_quadrature"]["value"] == pytest.approx(1.1547005383792515, abs=1e-8)
     assert rows[0]["gaussian_conditioning"]["value"] == pytest.approx(1.1547005383792515, abs=1e-8)
     assert rows[1]["density_quadrature"]["value"] == pytest.approx(2.2941573387056176, abs=1e-8)
+    for row in rows:
+        assert row["density_quadrature"]["method"] == "density-quadrature"
+        assert row["gaussian_conditioning"]["method"] == "gaussian-conditioning"
 
 
 def test_mgf_divergent_t_exits_1(capsys):

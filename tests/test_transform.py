@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lclab import dist, shape, transform
 from lclab.errors import DivergenceError, DomainError, NonConvergenceError, NotNormalizedError
-from lclab.transform import MGFMethod
 
 N02_AT_0 = 0.28209479177387814  # 1/sqrt(4 pi)
 
@@ -438,8 +437,6 @@ def test_mgf_routes_match_closed_form(t):
     assert by_density.value == pytest.approx(closed, abs=1e-8)
     assert by_conditioning.value == pytest.approx(closed, abs=1e-8)
     assert abs(by_density.value - by_conditioning.value) <= 2e-10
-    assert by_density.method is MGFMethod.DENSITY_QUADRATURE
-    assert by_conditioning.method is MGFMethod.GAUSSIAN_CONDITIONING
 
 
 def test_mgf_even_in_t():
@@ -474,6 +471,30 @@ def test_mgf_near_boundary_huge_value_or_budget_error():
     except NonConvergenceError:
         return
     assert res.value == pytest.approx(1.0 / math.sqrt(1.0 - 0.999999**2), rel=1e-6)
+
+
+@pytest.mark.parametrize("t", [0.999999, 1.0 - 1e-9, 0.9999999999999999])
+@pytest.mark.parametrize("law", ["laplace", "normal-product"])
+def test_mgf_error_estimate_covers_exponent_rounding_near_the_tail_rate(law, t):
+    # the window 48/(1 - t) makes t*x and log_pdf(x) cancel from up to ~1e17
+    # down to ~-48; the quadrature's own estimate does not see their rounding
+    one_minus_t2 = (1.0 - t) * (1.0 + t)
+    closed = 1.0 / one_minus_t2 if law == "laplace" else 1.0 / math.sqrt(one_minus_t2)
+    try:
+        res = transform.mgf_via_density(dist.builtin_density(law), t, 1e-10)
+    except NonConvergenceError:
+        return
+    assert abs(res.value - closed) <= res.abs_error_estimate
+
+
+def test_mgf_error_estimate_stays_finite_where_log_pdf_is_minus_inf():
+    uniform = dist.AnalyticDensity(
+        "uniform",
+        lambda x: np.where(np.abs(x) < 1.0, 0.5, 0.0),
+        lambda x: np.where(np.abs(x) < 1.0, math.log(0.5), -np.inf),
+    )
+    res = transform.mgf_via_density(uniform, 0.5, 1e-10)
+    assert abs(res.value - math.sinh(0.5) / 0.5) <= res.abs_error_estimate <= 1e-10
 
 
 def test_mgf_difference_closed_form_values():
