@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 from .quadrature import adaptive_quad
 
 _LN_SQRT_2PI = 0.918938533204672741780329736406  # ln sqrt(2 pi)
@@ -113,22 +114,6 @@ def builtin_density_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILTIN))
 
 
-def normal_product_density(x):
-    """Density of X1*X2 at x != 0; raises at the logarithmic singularity."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr == 0.0):
-        raise SingularityError("normal-product density diverges at x = 0")
-    out = _product_pdf(arr)
-    return out if arr.ndim else float(out)
-
-
-def laplace_density(x):
-    """Laplace(0,1) density exp(-|x|)/2."""
-    arr = np.asarray(x, dtype=float)
-    out = _laplace_pdf(arr)
-    return out if arr.ndim else float(out)
-
-
 def laplace_cdf(x):
     """Laplace(0,1) CDF: exp(x)/2 for x <= 0, 1 - exp(-x)/2 otherwise."""
     arr = np.asarray(x, dtype=float)
@@ -161,6 +146,13 @@ def normal_product_cdf(x: float, tol: float = 1e-10) -> float:
     )
     value = 0.5 + math.copysign(res.value / math.pi, x)
     return min(1.0, max(0.0, value))
+
+
+def _check_half_width(half_width: float) -> None:
+    if not half_width > 0.0:
+        raise ValueError("half_width must be positive")
+    if not math.isfinite(2.0 * half_width):
+        raise ValueError("half_width is too large: the grid width 2 * half_width overflows")
 
 
 @dataclass(frozen=True)
@@ -202,8 +194,7 @@ class GridDensity:
             object.__setattr__(self, "trusted_half_width", float(self.trusted_half_width))
         if values.ndim != 1 or values.size < 2 or values.size % 2:
             raise ValueError("values must be a 1-D array of even length >= 2")
-        if not self.half_width > 0.0:
-            raise ValueError("half_width must be positive")
+        _check_half_width(self.half_width)
         if self.trusted_half_width is not None and not 0.0 < self.trusted_half_width <= self.half_width:
             raise ValueError("trusted_half_width must lie in (0, half_width]")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
@@ -299,6 +290,10 @@ class GridDensity:
             raise ValueError("grid CSV needs >= 2 rows of 'x,density'")
         x = np.array([r[0] for r in rows])
         v = np.array([r[1] for r in rows])
+        # a grid of finite width 2L has its nodes inside (-L, L), and no
+        # difference of such nodes overflows
+        if not np.all(np.abs(x) < 0.5 * sys.float_info.max):
+            raise ValueError("grid CSV nodes must be finite and below half the largest double")
         h = x[1] - x[0]
         if h <= 0 or not np.allclose(np.diff(x), h, rtol=1e-9, atol=1e-12 * abs(h)):
             raise ValueError("grid CSV nodes must be uniformly increasing")
@@ -339,10 +334,7 @@ def discretize(density: AnalyticDensity, half_width: float, n_cells: int) -> Gri
     is evaluated on the left half of the grid and mirrored, so its grid is
     exactly even although the computed nodes are not exactly antisymmetric.
     """
-    if not half_width > 0.0:
-        raise ValueError("half_width must be positive")
-    if not math.isfinite(2.0 * half_width):
-        raise ValueError("half_width is too large: the grid width 2 * half_width overflows")
+    _check_half_width(half_width)
     if n_cells < 64 or n_cells % 2:
         raise ValueError("n_cells must be even and >= 64")
     if not math.isfinite(n_cells / (2.0 * half_width)):

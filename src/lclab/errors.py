@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """Argument lies outside the mathematical domain of an operation."""
 
 
-class SingularityError(ValueError):
-    """Evaluation was requested exactly at a non-removable singularity."""
-
-
 class DivergenceError(ValueError):
     """The requested quantity is a divergent integral."""
 

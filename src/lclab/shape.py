@@ -106,7 +106,7 @@ def _witness_key(viol, left, right, tol: float, stride: int, shift: int = 0):
     is keyed as index ``i + shift``; None unless a violation exceeds
     ``tol``.  A ``viol`` shorter than ``left`` is the first half of a
     palindrome over the pairs, so each maximum recurs at its mirror index.
-    ``min`` over the keys of all strides picks the witness.
+    ``_verdict`` takes the smallest key over all strides as the witness.
     """
     vmax = float(np.fmax.reduce(viol))
     if not vmax > tol:
@@ -117,6 +117,20 @@ def _witness_key(viol, left, right, tol: float, stride: int, shift: int = 0):
     m = 0.5 * (left[idx] + right[idx])
     best = np.lexsort((m, np.abs(m)))[0]
     return (-vmax, abs(float(m[best])), float(m[best]), int(idx[best]) + shift, stride)
+
+
+def _verdict(prop: ShapeProperty, keys, tol: float, domain, triple: Callable) -> ShapeVerdict:
+    """The verdict whose witness, if any, is the smallest of ``keys``.
+
+    ``keys`` are ``_witness_key`` results (None: no violation);
+    ``triple(index, stride)`` gives the winning pair's (x, y, lhs, rhs).
+    """
+    best = min(filter(None, keys), default=None)
+    if best is None:
+        return ShapeVerdict(prop, None, tol, domain)
+    neg_v, _, m, i, j = best
+    x, y, lhs, rhs = map(float, triple(i, j))
+    return ShapeVerdict(prop, Witness(x, y, m, lhs, rhs, -neg_v), tol, domain)
 
 
 def _certified_nodes(g: GridDensity, nodes: np.ndarray) -> np.ndarray:
@@ -182,19 +196,11 @@ def check_log_concavity_grid(g: GridDensity, tol: float) -> ShapeVerdict:
         np.multiply(viol, 0.5, out=viol)
         np.subtract(viol, logv[j : j + count], out=viol)
         keys.append(_witness_key(viol, nodes[:pairs], nodes[2 * j :], tol, j, shift=j))
-    best = min(filter(None, keys), default=None)
-    if best is None:
-        return ShapeVerdict(ShapeProperty.LOG_CONCAVE, None, tol, domain)
-    neg_v, _, m, k, j = best
-    witness = Witness(
-        x=float(nodes[k - j]),
-        y=float(nodes[k + j]),
-        midpoint=m,
-        lhs=float(logv[k]),
-        rhs=float(0.5 * (logv[k - j] + logv[k + j])),
-        violation=-neg_v,
-    )
-    return ShapeVerdict(ShapeProperty.LOG_CONCAVE, witness, tol, domain)
+
+    def triple(k: int, j: int):
+        return nodes[k - j], nodes[k + j], logv[k], 0.5 * (logv[k - j] + logv[k + j])
+
+    return _verdict(ShapeProperty.LOG_CONCAVE, keys, tol, domain, triple)
 
 
 def _probes(a: float, b: float, n_probes: int) -> np.ndarray:
@@ -232,19 +238,13 @@ def check_log_convexity_interval(
         logm = np.log(_eval_positive(f, 0.5 * (x + y), "pair midpoints"))
         viol = logm - 0.5 * (logf[: -2 * j] + logf[2 * j :])
         keys.append(_witness_key(viol, x, y, tol, j))
-    best = min(filter(None, keys), default=None)
-    if best is None:
-        return ShapeVerdict(ShapeProperty.LOG_CONVEX_ON_INTERVAL, None, tol, (a, b))
-    neg_v, _, m, i, j = best
-    witness = Witness(
-        x=float(probes[i]),
-        y=float(probes[i + 2 * j]),
-        midpoint=m,
-        lhs=float(np.log(_eval_positive(f, np.array([m]), "witness midpoint"))[0]),
-        rhs=float(0.5 * (logf[i] + logf[i + 2 * j])),
-        violation=-neg_v,
-    )
-    return ShapeVerdict(ShapeProperty.LOG_CONVEX_ON_INTERVAL, witness, tol, (a, b))
+
+    def triple(i: int, j: int):
+        x, y = probes[i], probes[i + 2 * j]
+        logm = np.log(_eval_positive(f, np.array([0.5 * (x + y)]), "witness midpoint"))[0]
+        return x, y, logm, 0.5 * (logf[i] + logf[i + 2 * j])
+
+    return _verdict(ShapeProperty.LOG_CONVEX_ON_INTERVAL, keys, tol, (a, b), triple)
 
 
 def check_ratio_monotonicity(a: float, b: float, n_probes: int) -> ShapeVerdict:
@@ -260,16 +260,9 @@ def check_ratio_monotonicity(a: float, b: float, n_probes: int) -> ShapeVerdict:
     if not np.all(np.isfinite(r)):
         raise ValueError("K0'/K0 is not finite at every probe (K1 overflows near 0)")
     # a drop of exactly 0 fails too: no double lies between -0 and this tol
-    best = _witness_key(r[:-1] - r[1:], probes[:-1], probes[1:], -5e-324, 1)
-    if best is None:
-        return ShapeVerdict(ShapeProperty.RATIO_INCREASING, None, 0.0, (a, b))
-    neg_v, _, m, i, _ = best
-    witness = Witness(
-        x=float(probes[i]),
-        y=float(probes[i + 1]),
-        midpoint=m,
-        lhs=float(r[i + 1]),
-        rhs=float(r[i]),
-        violation=-neg_v,
-    )
-    return ShapeVerdict(ShapeProperty.RATIO_INCREASING, witness, 0.0, (a, b))
+    keys = [_witness_key(r[:-1] - r[1:], probes[:-1], probes[1:], -5e-324, 1)]
+
+    def triple(i: int, _):
+        return probes[i], probes[i + 1], r[i + 1], r[i]
+
+    return _verdict(ShapeProperty.RATIO_INCREASING, keys, 0.0, (a, b), triple)

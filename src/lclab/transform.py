@@ -30,14 +30,14 @@ to sum directly than a tilt.  These first tilts cost O(n log n); every
 later tilt fixes only the trailing block of R lags from the first one
 still short, from the R values at each end, in O(R log R).  Tilts stop
 once that block costs no more to sum directly than a tilt of it, or the
-last tilt saved less direct work than that, and the block is summed
-directly.  Each tilt's phi comes from a saddle-point solve on at most
-4096 log-sum-exp bins of its block, O(4096) per Newton step at any size:
-phi only steers which lags a tilt makes accurate, and the bound
-certifies every sum.  Lags with no nonzero product (a comb's), which
-never get under the FFT's round-off, are found by one FFT pair and keep
-an exact 0.  An exactly even grid, such as ``dist.discretize`` builds
-for every built-in law, needs one spectrum per tilt instead of two.
+last tilt, the plain one included, saved less direct work than that, and
+the block is summed directly.  Each tilt's phi comes from a saddle-point
+solve on at most 4096 log-sum-exp bins of its block, O(4096) per Newton
+step at any size: phi only steers which lags a tilt makes accurate, and
+the bound certifies every sum.  Lags with no nonzero product (a comb's),
+which never get under the FFT's round-off, are found by one FFT pair and
+keep an exact 0.  An exactly even grid, such as ``dist.discretize``
+builds for every built-in law, needs one spectrum per tilt, not two.
 
 On the built-in grids the direct block has at most a few dozen lags and
 the whole correlation costs O(n log n).  Where every tilt stalls on lags
@@ -345,8 +345,8 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
         if short < t:
             # the first tilt left a lag of the plain FFT's range short
             s = t = 0
-        # stop on a cheap block, or on a saddle tilt (t > 0) that saved too little
-        elif r * r <= cost or (t and (n - t) ** 2 - r * r <= cost):
+        # stop on a cheap block, or on a tilt that saved too little
+        elif r * r <= cost or (n - t) ** 2 - r * r <= cost:
             break
         else:
             s = t = short

@@ -80,10 +80,9 @@ class VerificationReport:
 
 
 def _density_identity_step() -> StepResult:
-    worst = 0.0
-    for x in _DENSITY_PROBES:
-        oracle = specfun.bessel_k0_quadrature_oracle(x, 1e-14).value / math.pi
-        worst = max(worst, abs(dist.normal_product_density(x) / oracle - 1.0))
+    oracle = [specfun.bessel_k0_quadrature_oracle(x, 1e-14).value for x in _DENSITY_PROBES]
+    density = dist.normal_product().pdf(np.array(_DENSITY_PROBES))
+    worst = float(np.max(np.abs(density / (np.array(oracle) / math.pi) - 1.0)))
     return StepResult(
         "density-identity",
         worst <= 1e-12,
@@ -107,51 +106,43 @@ def _conditioning_table(tol_mgf: float) -> dict[float, float]:
     return {t: transform.mgf_via_conditioning(t, tol_mgf).value for t in sorted(ts)}
 
 
+def _closed_form_step(name: str, ts, exact, routes: dict, tol: float) -> StepResult:
+    """Each route's largest |route(t) - exact| over ``ts``; passes iff all are <= tol.
+
+    Every route raises on a non-finite value, so no NaN reaches ``max``.
+    """
+    metrics = {k: max(abs(route(t) - c) for t, c in zip(ts, exact)) for k, route in routes.items()}
+    passed = all(err <= tol for err in metrics.values())
+    return StepResult(name, passed, {**metrics, "tol": tol})
+
+
 def _mgf_identity_step(
     tol_mgf: float, mgf: dict[float, float], conditioning: dict[float, float]
 ) -> StepResult:
-    worst_density = 0.0
-    worst_conditioning = 0.0
-    for t in _MGF_T:
-        closed = 1.0 / math.sqrt(1.0 - t * t)
-        worst_density = max(worst_density, abs(mgf[t] - closed))
-        worst_conditioning = max(worst_conditioning, abs(conditioning[abs(t)] - closed))
-    passed = worst_density <= tol_mgf and worst_conditioning <= tol_mgf
-    return StepResult(
-        "mgf-identity",
-        passed,
-        {
-            "max_abs_err_density_route": worst_density,
-            "max_abs_err_conditioning_route": worst_conditioning,
-            "tol": tol_mgf,
-        },
-    )
+    exact = [1.0 / math.sqrt(1.0 - t * t) for t in _MGF_T]
+    routes = {
+        "max_abs_err_density_route": mgf.__getitem__,
+        "max_abs_err_conditioning_route": lambda t: conditioning[abs(t)],
+    }
+    return _closed_form_step("mgf-identity", _MGF_T, exact, routes, tol_mgf)
 
 
 def _mgf_factorization_step(
     mgf: dict[float, float], conditioning: dict[float, float]
 ) -> StepResult:
     """M(t) M(-t) against 1/(1 - t^2), by the density and the conditioning route."""
-    worst = 0.0
-    worst_conditioning = 0.0
-    for t in _FACTORIZATION_T:
-        closed = transform.mgf_difference_closed_form(t)
-        worst = max(worst, abs(mgf[t] * mgf[-t] - closed))
-        m = conditioning[abs(t)]
-        worst_conditioning = max(worst_conditioning, abs(m * m - closed))
-    return StepResult(
-        "mgf-factorization",
-        worst <= _FACTORIZATION_TOL and worst_conditioning <= _FACTORIZATION_TOL,
-        {
-            "max_abs_err": worst,
-            "max_abs_err_conditioning_route": worst_conditioning,
-            "tol": _FACTORIZATION_TOL,
-        },
+    exact = [transform.mgf_difference_closed_form(t) for t in _FACTORIZATION_T]
+    routes = {
+        "max_abs_err": lambda t: mgf[t] * mgf[-t],
+        "max_abs_err_conditioning_route": lambda t: conditioning[abs(t)] * conditioning[abs(t)],
+    }
+    return _closed_form_step(
+        "mgf-factorization", _FACTORIZATION_T, exact, routes, _FACTORIZATION_TOL
     )
 
 
 def _laplace_identification_step(diff: dist.GridDensity) -> StepResult:
-    sup = float(np.max(np.abs(diff.values - dist.laplace_density(diff.nodes))))
+    sup = float(np.max(np.abs(diff.values - dist.laplace().pdf(diff.nodes))))
     return StepResult(
         "laplace-identification",
         sup <= _SUP_NODE_TOL,
@@ -172,40 +163,33 @@ def _shape_step(
     x > 0.  Both K0 checks therefore run on the default intervals and again
     over the double range, from 1e-300 to 700, where K0 is still normal.
     """
-    product_verdict = shape.check_log_concavity_grid(product_grid, tol_shape)
-    diff_verdict = shape.check_log_concavity_grid(diff, tol_shape)
-    laplace_verdict = shape.check_log_concavity_grid(laplace_grid, tol_shape)
-    convex = shape.check_log_convexity_interval(
-        specfun.k0_values, *_CONVEXITY_INTERVAL, _CONVEXITY_PROBES, _CONVEXITY_TOL
-    )
-    convex_wide = shape.check_log_convexity_interval(
-        specfun.k0_values, *_DOUBLE_RANGE_INTERVAL, _CONVEXITY_PROBES, _CONVEXITY_TOL
-    )
-    ratio = shape.check_ratio_monotonicity(*_RATIO_INTERVAL, _RATIO_PROBES)
-    ratio_wide = shape.check_ratio_monotonicity(*_DOUBLE_RANGE_INTERVAL, _RATIO_PROBES)
-    passed = (
-        not product_verdict.holds
-        and diff_verdict.holds
-        and laplace_verdict.holds
-        and convex.holds
-        and ratio.holds
-        and convex_wide.holds
-        and ratio_wide.holds
-    )
-    metrics = {
-        "product_fails": float(not product_verdict.holds),
-        "self_difference_holds": float(diff_verdict.holds),
-        "laplace_holds": float(laplace_verdict.holds),
-        "k0_log_convex_holds": float(convex.holds),
-        "k_ratio_increasing_holds": float(ratio.holds),
-        "k0_log_convex_double_range_holds": float(convex_wide.holds),
-        "k_ratio_increasing_double_range_holds": float(ratio_wide.holds),
-        "tol_shape": tol_shape,
-        "tol_convexity": _CONVEXITY_TOL,
+    grid = shape.check_log_concavity_grid
+
+    def convex(interval):
+        return shape.check_log_convexity_interval(
+            specfun.k0_values, *interval, _CONVEXITY_PROBES, _CONVEXITY_TOL
+        )
+
+    def ratio(interval):
+        return shape.check_ratio_monotonicity(*interval, _RATIO_PROBES)
+
+    # metric -> (verdict, whether it should hold): the product law must fail
+    checks = {
+        "product_fails": (grid(product_grid, tol_shape), False),
+        "self_difference_holds": (grid(diff, tol_shape), True),
+        "laplace_holds": (grid(laplace_grid, tol_shape), True),
+        "k0_log_convex_holds": (convex(_CONVEXITY_INTERVAL), True),
+        "k_ratio_increasing_holds": (ratio(_RATIO_INTERVAL), True),
+        "k0_log_convex_double_range_holds": (convex(_DOUBLE_RANGE_INTERVAL), True),
+        "k_ratio_increasing_double_range_holds": (ratio(_DOUBLE_RANGE_INTERVAL), True),
     }
-    if product_verdict.witness is not None:
-        metrics["product_witness_violation"] = product_verdict.witness.violation
-        metrics["product_witness_m"] = product_verdict.witness.midpoint
+    metrics = {name: float(v.holds == expected) for name, (v, expected) in checks.items()}
+    passed = all(metrics.values())
+    metrics.update(tol_shape=tol_shape, tol_convexity=_CONVEXITY_TOL)
+    witness = checks["product_fails"][0].witness
+    if witness is not None:
+        metrics["product_witness_violation"] = witness.violation
+        metrics["product_witness_m"] = witness.midpoint
     return StepResult("shape-verdicts", passed, metrics)
 
 

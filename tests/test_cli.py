@@ -354,6 +354,29 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+#: grid CSV nodes: not finite, or spanning more than a finite grid width
+OVERFLOWING_NODES = {
+    "minus-inf-2": "-inf,1\n1,1",
+    "minus-inf-4": "-inf,1\n-1,1\n1,1\n3,1",
+    "nan": "nan,1\n1,1",
+    "1e308-2": "-1e308,1\n1e308,1",
+    "1e308-4": "-1e308,1\n-3.3333333333333333e307,1\n3.3333333333333333e307,1\n1e308,1",
+    "8e307-2": "-8e307,1\n8e307,1",
+}
+
+
+@pytest.mark.parametrize("rows", list(OVERFLOWING_NODES.values()), ids=list(OVERFLOWING_NODES))
+def test_grid_csv_with_overflowing_nodes_exits_1(rows, tmp_path, capsys):
+    # one clean error each; a numpy warning would be an error here
+    grid_path = tmp_path / "wide.csv"
+    grid_path.write_text(f"x,density\n{rows}\n")
+    for command in ("selfdiff", "shape --property log-concave"):
+        code, out, err = run_cli(capsys, *command.split(), "--in", str(grid_path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 @pytest.mark.parametrize("law", ["laplace", "normal-product", "normal"])
 def test_density_overflowing_half_width_exits_1(law):
     # at 1e308, 2 * half_width overflows to inf; at 1e200, x * x does in the

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lclab import dist, mc, transform
-from lclab.errors import DomainError, SingularityError
+from lclab.errors import DomainError
 
 # frozen from the quadrature-oracle run
 PRODUCT_PDF_AT_1 = 0.13401624101699427
@@ -15,26 +15,30 @@ F1_MINUS_FM1 = 0.79100633699534767
 
 
 def test_product_density_values():
-    assert dist.normal_product_density(1.0) == pytest.approx(PRODUCT_PDF_AT_1, rel=1e-13)
-    assert dist.normal_product_density(-1.0) == dist.normal_product_density(1.0)
+    pdf = dist.normal_product().pdf
+    assert pdf(1.0) == pytest.approx(PRODUCT_PDF_AT_1, rel=1e-13)
+    assert pdf(-1.0) == pdf(1.0)
 
 
 def test_product_density_singularity():
-    with pytest.raises(SingularityError):
-        dist.normal_product_density(0.0)
+    for x in (0.0, -0.0, np.array([1.0, 0.0])):
+        with pytest.raises(DomainError):
+            dist.normal_product().pdf(x)
 
 
 def test_product_density_even_bit_exact():
     xs = np.array([1e-6, 0.37, 1.0, 4.2, 11.0])
-    assert np.array_equal(dist.normal_product_density(xs), dist.normal_product_density(-xs))
+    pdf = dist.normal_product().pdf
+    assert np.array_equal(pdf(xs), pdf(-xs))
 
 
 def test_laplace_density_values():
-    assert dist.laplace_density(0.0) == 0.5
-    assert dist.laplace_density(math.log(2.0)) == pytest.approx(0.25, rel=1e-15)
-    assert dist.laplace_density(-3.0) == pytest.approx(0.5 * math.exp(-3.0), rel=1e-15)
+    pdf = dist.laplace().pdf
+    assert pdf(0.0) == 0.5
+    assert pdf(math.log(2.0)) == pytest.approx(0.25, rel=1e-15)
+    assert pdf(-3.0) == pytest.approx(0.5 * math.exp(-3.0), rel=1e-15)
     xs = np.array([0.1, 1.0, 7.7])
-    assert np.array_equal(dist.laplace_density(xs), dist.laplace_density(-xs))
+    assert np.array_equal(pdf(xs), pdf(-xs))
 
 
 def test_laplace_cdf_values():
@@ -110,9 +114,9 @@ def test_cdf_density_consistency_central_difference():
     h = 1e-4
     for x in (0.5, 1.0, 2.0):
         prod = (dist.normal_product_cdf(x + h, 1e-12) - dist.normal_product_cdf(x - h, 1e-12)) / (2 * h)
-        assert prod == pytest.approx(dist.normal_product_density(x), abs=1e-7)
+        assert prod == pytest.approx(dist.normal_product().pdf(x), abs=1e-7)
         lap = (dist.laplace_cdf(x + h) - dist.laplace_cdf(x - h)) / (2 * h)
-        assert lap == pytest.approx(dist.laplace_density(x), abs=1e-7)
+        assert lap == pytest.approx(dist.laplace().pdf(x), abs=1e-7)
 
 
 def test_discretize_laplace_mass_defect():
@@ -293,6 +297,10 @@ def test_grid_validation():
         dist.GridDensity(-1.0, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         dist.GridDensity(1.0, np.array([1.0, 2.0]), trusted_half_width=2.0)
+    # as in discretize: the grid width 2 * half_width must be finite
+    for half_width in (math.inf, 1e308):
+        with pytest.raises(ValueError, match="grid width 2 \\* half_width overflows"):
+            dist.GridDensity(half_width, np.ones(4))
 
 
 def test_normalized_rejects_overflow():

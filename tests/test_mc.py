@@ -245,7 +245,8 @@ def test_ks_statistic_equals_textbook_formula():
 
 
 def test_ks_statistic_leaves_batch_unchanged():
-    # `lclab sample --ks` writes the CSV from the same batch after the test
+    # `lclab sample --ks` tests the batch it has just written to the CSV, and a
+    # caller may use the batch again after the test
     batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, 10_000)
     before = batch.values.copy()
     mc.ks_statistic(batch, dist.laplace_cdf)

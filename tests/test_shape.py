@@ -49,10 +49,9 @@ def test_product_witness_is_genuine_for_analytic_density(product_grid):
     # the violation is not a discretization artifact: re-evaluating the
     # analytic density at the witness triple violates midpoint concavity
     w = shape.check_log_concavity_grid(product_grid, 1e-9).witness
-    lhs = np.log(dist.normal_product_density(w.midpoint))
-    rhs = 0.5 * (
-        np.log(dist.normal_product_density(w.x)) + np.log(dist.normal_product_density(w.y))
-    )
+    log_pdf = np.log(dist.normal_product().pdf(np.array([w.x, w.midpoint, w.y])))
+    lhs = log_pdf[1]
+    rhs = 0.5 * (log_pdf[0] + log_pdf[2])
     assert rhs - lhs > 0.5
 
 

@@ -26,17 +26,16 @@ def test_laplace_selfdiff_near_zero_is_quarter(laplace_grid):
 
 
 def test_product_selfdiff_is_laplace_in_sup_norm(product_selfdiff):
-    sup = np.max(np.abs(product_selfdiff.values - dist.laplace_density(product_selfdiff.nodes)))
+    sup = np.max(np.abs(product_selfdiff.values - dist.laplace().pdf(product_selfdiff.nodes)))
     assert sup <= 1e-3
 
 
 def test_product_selfdiff_sup_distance_shrinks_with_n(product_selfdiff):
-    sup_4096 = np.max(
-        np.abs(product_selfdiff.values - dist.laplace_density(product_selfdiff.nodes))
-    )
+    pdf = dist.laplace().pdf
+    sup_4096 = np.max(np.abs(product_selfdiff.values - pdf(product_selfdiff.nodes)))
     g8 = dist.discretize(dist.normal_product(), 12.0, 8192)
     sd8 = transform.self_difference(g8)
-    sup_8192 = np.max(np.abs(sd8.values - dist.laplace_density(sd8.nodes)))
+    sup_8192 = np.max(np.abs(sd8.values - pdf(sd8.nodes)))
     assert sup_8192 < sup_4096
 
 

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 from scipy.special import kolmogi
 
-from lclab import dist, transform, verify
+from lclab import dist, shape, transform, verify
 
 
 def test_run_verification_integrates_each_mgf_once_per_t(monkeypatch):
@@ -108,3 +109,55 @@ def test_monte_carlo_step_at_small_n():
     # frozen like test_mc.GOLDEN_SCALED: the seeded draws are bit-reproducible
     assert m["max_scaled_statistic"] == pytest.approx(1.3815504068384434, rel=1e-9)
     assert m["min_product_scaled_statistic"] == pytest.approx(13.871784659066211, rel=1e-9)
+
+
+#: (shape check, the call of it to flip, its metric in the shape step); a
+#: call is told apart by its grid or by the start of its interval
+SHAPE_SUB_CHECKS = [
+    ("check_log_concavity_grid", "product", "product_fails"),
+    ("check_log_concavity_grid", "selfdiff", "self_difference_holds"),
+    ("check_log_concavity_grid", "laplace", "laplace_holds"),
+    ("check_log_convexity_interval", verify._CONVEXITY_INTERVAL[0], "k0_log_convex_holds"),
+    ("check_ratio_monotonicity", verify._RATIO_INTERVAL[0], "k_ratio_increasing_holds"),
+    (
+        "check_log_convexity_interval",
+        verify._DOUBLE_RANGE_INTERVAL[0],
+        "k0_log_convex_double_range_holds",
+    ),
+    (
+        "check_ratio_monotonicity",
+        verify._DOUBLE_RANGE_INTERVAL[0],
+        "k_ratio_increasing_double_range_holds",
+    ),
+]
+SHAPE_METRICS = [metric for *_, metric in SHAPE_SUB_CHECKS]
+
+
+@pytest.mark.parametrize("check, target, metric", SHAPE_SUB_CHECKS, ids=SHAPE_METRICS)
+def test_shape_step_fails_on_each_sub_check(
+    check, target, metric, product_grid, product_selfdiff, laplace_grid, monkeypatch
+):
+    # one sub-check gets the verdict it must not have: a witness where it
+    # should hold, none on the product grid, which must fail
+    grids = {"product": product_grid, "selfdiff": product_selfdiff, "laplace": laplace_grid}
+    target = grids.get(target, target)
+    original = getattr(shape, check)
+    flipped = []
+
+    def flipping(*args):
+        verdict = original(*args)
+        subject = args[1] if check == "check_log_convexity_interval" else args[0]
+        if subject is target if isinstance(target, dist.GridDensity) else subject == target:
+            flipped.append(verdict.holds)
+            witness = shape.Witness(1.0, 2.0, 1.5, 0.0, 1.0, 1.0) if verdict.holds else None
+            verdict = dataclasses.replace(verdict, witness=witness)
+        return verdict
+
+    monkeypatch.setattr(shape, check, flipping)
+    step = verify._shape_step(product_grid, product_selfdiff, laplace_grid, verify.TOL_SHAPE)
+    assert flipped == [metric != "product_fails"]
+    assert not step.passed
+    assert {k: step.metrics[k] for k in SHAPE_METRICS} == {
+        k: float(k != metric) for k in SHAPE_METRICS
+    }
+    assert ("product_witness_m" in step.metrics) == (metric != "product_fails")
