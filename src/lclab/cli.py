@@ -1,7 +1,7 @@
 """Command-line interface: one binary, one subcommand per pipeline stage.
 
 Exit codes: 0 on success, 1 on a verification failure or internal numeric
-error, 2 on usage errors.  Verdicts and reports are JSON; array data is
+error, 2 on usage errors (argparse reports them and exits itself).  Verdicts and reports are JSON; array data is
 CSV; files are written atomically (temp file + rename), ``-`` means
 stdin/stdout.
 """
@@ -20,7 +20,6 @@ from .errors import NonConvergenceError
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
-EXIT_USAGE = 2
 
 
 def _write_text(path: str, text: str) -> None:

@@ -1,4 +1,4 @@
-"""Densities, CDFs and grid discretizations of the three laws under study.
+"""Densities and grid discretizations of the three laws under study, and the Laplace CDF.
 
 The laws are the standard normal, the product of two independent standard
 normals (density ``K0(|x|)/pi``, logarithmically singular at 0), and
@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from . import specfun
-from .errors import DomainError
 from .quadrature import adaptive_quad
 
 _LN_SQRT_2PI = 0.918938533204672741780329736406  # ln sqrt(2 pi)
@@ -125,27 +124,6 @@ def laplace_cdf(x):
     half *= 0.5
     np.subtract(1.0, half, out=half, where=arr > 0.0)
     return half if arr.ndim else float(half)
-
-
-def normal_product_cdf(x: float, tol: float = 1e-10) -> float:
-    """CDF of X1*X2: 1/2 + sign(x) (1/pi) int_0^|x| K0, absolute error <= tol."""
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
-    x = float(x)
-    if x == 0.0:
-        return 0.5
-    # K0 vanishes (underflows) past ~745; the remaining tail is below any tol
-    upper = min(abs(x), 746.0)
-    res = adaptive_quad(
-        specfun.k0_values,
-        0.0,
-        upper,
-        tol_abs=0.45 * math.pi * tol,
-        tol_rel=1e-13,
-        max_panels=4096,
-    )
-    value = 0.5 + math.copysign(res.value / math.pi, x)
-    return min(1.0, max(0.0, value))
 
 
 def _check_half_width(half_width: float) -> None:
@@ -373,11 +351,4 @@ def discretize(density: AnalyticDensity, half_width: float, n_cells: int) -> Gri
 
     on_grid = tuple(s for s in density.singular_points if -half_width <= s <= half_width)
     return GridDensity(half_width, values, singular_points=on_grid).normalized()
-
-
-def moment(grid: GridDensity, p: int) -> float:
-    """p-th raw moment of the gridded density, h * sum x_k^p v_k."""
-    if not isinstance(p, (int, np.integer)) or p < 0 or p > 8:
-        raise DomainError("moment order must be an integer in [0, 8]")
-    return grid.step * float(np.sum(grid.nodes**p * grid.values))
 

@@ -27,7 +27,7 @@ from .specfun import k_ratio_values
 #: Grid values below this fraction of the peak are skipped.  It is not a
 #: round-off screen: every self-difference entry is relatively accurate to
 #: ~1e-13, down to the smallest normal double.  It only bounds the certified
-#: domain; ROADMAP item 2 is to derive an absolute floor from that guarantee.
+#: domain; ROADMAP item 4 is to derive an absolute floor from that guarantee.
 TAIL_NOISE_FLOOR = 1e-13
 
 #: Nodes within this many grid steps of a declared singular-point image

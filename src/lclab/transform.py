@@ -43,7 +43,7 @@ On the built-in grids the direct block has at most a few dozen lags and
 the whole correlation costs O(n log n).  Where every tilt stalls on lags
 that are tiny but not zero, as on e^(-50x) on even cells and 1e-26 on
 odd ones, the direct block holds n - 1 lags and costs O(n^2) (ROADMAP.md,
-item 2).
+item 4).
 
 MGFs are evaluated by two independent numeric routes so the Bessel-backed
 density code is never certified by itself: direct exp-tilted quadrature of

@@ -14,6 +14,7 @@ import pytest
 
 from lclab import dist, mc, shape, specfun, transform
 from lclab.mc import Generator
+from lclab.quadrature import adaptive_quad
 
 from test_mc import GOLDEN_SCALED
 
@@ -39,11 +40,11 @@ def test_criterion_1_bessel_oracle_agreement():
 def test_criterion_2_density_normalization():
     start = time.perf_counter()
     mass = transform.mgf_via_density(dist.normal_product(), 0.0, 1e-10).value
-    # equivalently int_0^inf K0 = pi/2, read off the CDF far in the tail
-    k0_integral = dist.normal_product_cdf(60.0, 1e-12) - 0.5
+    # equivalently int_0^inf K0 = pi/2; K0 < 1e-26 beyond 60
+    k0_integral = adaptive_quad(specfun.k0_values, 0.0, 60.0, tol_rel=1e-13).value
     elapsed = time.perf_counter() - start
     assert mass == pytest.approx(1.0, abs=1e-8)
-    assert k0_integral * math.pi == pytest.approx(math.pi / 2, abs=1e-8)
+    assert k0_integral == pytest.approx(math.pi / 2, abs=1e-8)
     assert elapsed < 1.0
     _report("2 (density normalization)", elapsed, 1, f"|mass-1| = {abs(mass-1):.2e}")
 

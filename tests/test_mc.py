@@ -9,6 +9,7 @@ from scipy.special import ndtri
 
 from lclab import dist, mc
 from lclab.mc import Generator
+from lclab.quadrature import adaptive_quad
 
 # Scaled KS statistics of the committed seed table at n = 10^6 against the
 # Laplace CDF, frozen from the sampling pipeline's first oracle run.
@@ -144,9 +145,12 @@ def test_product_law_fails_ks_against_laplace():
 def test_cdf_sup_distance_pinned_by_quadrature():
     # the difference is stationary at x ~ 0.4631 (where K0(x)/pi crosses
     # the Laplace density); probe a grid plus the stationary point itself
+    # for x > 0 the product CDF is 1/2 + int_0^x K0(t)/pi dt
     xs = np.append(np.linspace(0.01, 6.0, 400), 0.4631312293)
+    pdf = dist.normal_product().pdf
     sup = max(
-        abs(dist.normal_product_cdf(float(x), 1e-10) - dist.laplace_cdf(float(x))) for x in xs
+        abs(0.5 + adaptive_quad(pdf, 0.0, x, tol_abs=1e-10).value - dist.laplace_cdf(x))
+        for x in map(float, xs)
     )
     assert sup == pytest.approx(CDF_SUP_DISTANCE, abs=1e-6)
     assert sup > 0.01
