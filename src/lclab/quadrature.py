@@ -104,6 +104,10 @@ def adaptive_quad(
     ``total_error <= max(tol_abs, tol_rel * |total_value|)``.  Raises
     :class:`NonConvergenceError` once ``max_panels`` panels exist and the
     tolerance is still unmet.
+
+    The totals tested and returned are sums over the panel heap in heap
+    order.  Running totals, kept in O(1) per bisection, skip that O(n)
+    re-sum on the iterations where they show the tolerance clearly unmet.
     """
     if not b > a:
         raise ValueError(f"need b > a, got [{a!r}, {b!r}]")
@@ -114,26 +118,44 @@ def adaptive_quad(
     frozen_val = 0.0
     frozen_err = 0.0
     n_frozen = 0
+    # running sums over all panels, frozen ones included, of the values, the
+    # errors and the |values|; n_adds counts the additions made to each.
+    # Python floats: inf - inf makes a silent NaN, which never skips a re-sum
+    run_val = run_err = run_abs = 0.0
     for lo, hi in zip(breaks, breaks[1:]):
         val, err = kronrod_panel(f, lo, hi)
         heapq.heappush(heap, (-err, seq, lo, hi, val, err))
         seq += 1
+        run_val += val
+        run_err += float(err)
+        run_abs += abs(val)
+    n_adds = len(heap)
+    peak_err, peak_abs = run_err, run_abs
 
     while True:
-        total_val = frozen_val + sum(item[4] for item in heap)
-        total_err = frozen_err + sum(item[5] for item in heap)
-        if total_err <= max(tol_abs, tol_rel * abs(total_val)):
-            return QuadResult(total_val, total_err, len(heap) + n_frozen)
-        if len(heap) + n_frozen >= max_panels:
-            raise NonConvergenceError(
-                f"quadrature budget of {max_panels} panels exhausted on "
-                f"[{a!r}, {b!r}]: error estimate {total_err:.3e}"
-            )
-        if not heap:
-            raise NonConvergenceError(
-                f"no splittable panels left on [{a!r}, {b!r}]: "
-                f"error estimate {total_err:.3e}"
-            )
+        n_panels = len(heap) + n_frozen
+        # k additions leave a running sum within k*u*S of the exact one, S
+        # the largest partial sum of magnitudes; the n-term re-sum is within
+        # n*u*S of it too.  Bounds in eps = 2u cover those in u twice over.
+        slack = float((n_adds + n_panels + 2) * _EPS)
+        clearly_unmet = run_err - slack * peak_err > max(
+            tol_abs, tol_rel * (abs(run_val) + slack * peak_abs)
+        )
+        if not clearly_unmet or n_panels >= max_panels or not heap:
+            total_val = frozen_val + sum(item[4] for item in heap)
+            total_err = frozen_err + sum(item[5] for item in heap)
+            if total_err <= max(tol_abs, tol_rel * abs(total_val)):
+                return QuadResult(total_val, total_err, n_panels)
+            if n_panels >= max_panels:
+                raise NonConvergenceError(
+                    f"quadrature budget of {max_panels} panels exhausted on "
+                    f"[{a!r}, {b!r}]: error estimate {total_err:.3e}"
+                )
+            if not heap:
+                raise NonConvergenceError(
+                    f"no splittable panels left on [{a!r}, {b!r}]: "
+                    f"error estimate {total_err:.3e}"
+                )
         _, _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -142,7 +164,16 @@ def adaptive_quad(
             frozen_err += err
             n_frozen += 1
             continue
+        run_val -= val
+        run_err -= float(err)
+        run_abs -= abs(val)
         for plo, phi in ((lo, mid), (mid, hi)):
             pval, perr = kronrod_panel(f, plo, phi)
             heapq.heappush(heap, (-perr, seq, plo, phi, pval, perr))
             seq += 1
+            run_val += pval
+            run_err += float(perr)
+            run_abs += abs(pval)
+        n_adds += 3
+        peak_err = max(peak_err, run_err)
+        peak_abs = max(peak_abs, run_abs)
