@@ -1,9 +1,9 @@
 """Command-line interface: one binary, one subcommand per pipeline stage.
 
 Exit codes: 0 on success, 1 on a verification failure or internal numeric
-error, 2 on usage errors (argparse reports them and exits itself).  Verdicts and reports are JSON; array data is
-CSV; files are written atomically (temp file + rename), ``-`` means
-stdin/stdout.
+error, 2 on usage errors (argparse reports them and exits itself).
+Verdicts and reports are JSON; array data is CSV; files are written
+atomically (temp file + rename), ``-`` means stdin/stdout.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Densities and grid discretizations of the three laws under study, and the Laplace CDF.
+"""Densities and grid discretizations of the three laws, and the Laplace CDF.
 
 The laws are the standard normal, the product of two independent standard
 normals (density ``K0(|x|)/pi``, logarithmically singular at 0), and
@@ -351,4 +351,3 @@ def discretize(density: AnalyticDensity, half_width: float, n_cells: int) -> Gri
 
     on_grid = tuple(s for s in density.singular_points if -half_width <= s <= half_width)
     return GridDensity(half_width, values, singular_points=on_grid).normalized()
-

@@ -144,8 +144,8 @@ def test_product_law_fails_ks_against_laplace():
 
 def test_cdf_sup_distance_pinned_by_quadrature():
     # the difference is stationary at x ~ 0.4631 (where K0(x)/pi crosses
-    # the Laplace density); probe a grid plus the stationary point itself
-    # for x > 0 the product CDF is 1/2 + int_0^x K0(t)/pi dt
+    # the Laplace density); probe a grid plus the stationary point itself.
+    # For x > 0 the product CDF is 1/2 + int_0^x K0(t)/pi dt.
     xs = np.append(np.linspace(0.01, 6.0, 400), 0.4631312293)
     pdf = dist.normal_product().pdf
     sup = max(
