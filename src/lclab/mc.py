@@ -3,25 +3,30 @@
 The uniform source is a counter-based SplitMix64 stream: output i is the
 SplitMix64 finalizer applied to ``key + (i+1) * GOLDEN``, so any index
 range can be generated independently and in parallel with bit-identical
-results.  Normal variates are the inverse standard-normal CDF of one
-uniform each (monotone and stream-order-stable, unlike rejection
-samplers), so value j of a generator consuming w normals per value owns
-exactly the uniform indices ``w*j .. w*j + w - 1``.
+results.  Normals come in Box-Muller pairs: uniforms (u, u') give the
+independent standard normals r cos(theta) and r sin(theta), with
+r^2 = -2 ln u and theta = 2 pi u', whose product is -ln u * sin(4 pi u').
+The transform maps a fixed number of uniforms to a fixed number of normals
+(no rejection), so value j of a generator consuming w normals per value
+owns exactly the uniform indices ``w*j .. w*j + w - 1``, and each value
+costs one log and one sine per pair instead of two inverse normal CDFs.
 
 Generation is blocked and in place: the stream is produced ``_BLOCK``
 counter positions at a time through two preallocated buffers that stay
-in cache (counter -> SplitMix64 -> uniform -> ``ndtri`` -> product or
-difference, all with ``out=`` ufuncs on the rows of a column-major block),
-so a batch needs its output plus O(block) memory and stays bit-identical.
+in cache (counter -> SplitMix64 -> uniform -> ln u and sin(4 pi u') ->
+product or difference, all with ``out=`` ufuncs on the rows of a
+column-major block), so a batch needs its output plus O(block) memory and
+stays bit-identical to the full-array definition.
 
 The KS statistic walks the sorted sample in blocks of the same size, so it
 needs the sorted values plus O(block).  ``ks_over_seeds`` runs its seeds on
 min(usable CPUs, seeds) threads (the process's CPU affinity, else the CPU
-count); there is no knob.  numpy ufuncs, ``ndtri`` and the sort release the
-GIL, so the time falls with the cores (both generators' golden-seed tables
-at n = 10^6, one after the other, take ~1.5 s on one CPU of a shared 2-vCPU
-x86-64 host and ~0.9 s on two, warm, median of 5), and the reports come
-back in seed order, bit-identical to one seed after another.
+count); there is no knob.  numpy ufuncs and the sort release the GIL, so
+the time falls with the cores (both generators' golden-seed tables at
+n = 10^6, one after the other, take ~1.3-1.4 s on one CPU of a shared
+2-vCPU AVX-512 x86-64 host and ~0.6-0.9 s on two, warm, median of 5), and
+the reports come back in seed order, bit-identical to one seed after
+another.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import kolmogi, ndtri
+from scipy.special import kolmogi
 
 #: Committed seed table used by the acceptance pipeline; golden statistics
 #: in the test suite quantify over exactly these seeds.
@@ -64,7 +69,12 @@ _STREAMS = {
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Reproducible draws: (generator, seed, n) determines values bit-exactly."""
+    """Reproducible draws: (generator, seed, n) determines values bit-exactly.
+
+    Bit-exact for a given numpy build and SIMD dispatch: ``np.log`` runs
+    SIMD-dispatched loops, which may round differently on another CPU or
+    numpy version; the law of the draws does not depend on either.
+    """
 
     generator: Generator
     seed: int
@@ -95,7 +105,8 @@ class KSReport:
 
 
 #: Counter positions per generation block: the two 512 KiB block buffers
-#: (mixed bits, uniforms/normals) and the row steps fit in a 2 MiB L2 cache.
+#: (mixed bits; uniforms, then their logs and sines) and the row steps fit
+#: in a 2 MiB L2 cache.
 _BLOCK = 1 << 16
 
 
@@ -118,17 +129,18 @@ def _stream_key(generator: Generator, seed: int) -> int:
 def _values_for_range(generator: Generator, key: int, lo: int, out: np.ndarray) -> None:
     """Values lo..lo+len(out)-1 of the generator's stream, written into out.
 
-    Row c of a block holds normal c of each value j (counter w*j + c).
+    Row c of a block holds uniform c of each value j (counter w*j + c);
+    rows 2p and 2p+1 are the value's Box-Muller pair p.
     """
     w = _STREAMS[generator][1]
     per_block = max(1, min(_BLOCK // w, out.size))
     steps = np.arange(per_block, dtype=np.uint64) * np.uint64(w * _GOLDEN_GAMMA % (1 << 64))
     bits = np.empty(w * per_block, dtype=np.uint64)
-    normals = np.empty(w * per_block)
+    uniforms = np.empty(w * per_block)
     for a in range(0, out.size, per_block):
         m = min(per_block, out.size - a)
         b = bits[: w * m].reshape(w, m)
-        z = normals[: w * m].reshape(w, m)
+        z = uniforms[: w * m].reshape(w, m)
         rows = [(key + (w * (lo + a) + c + 1) * _GOLDEN_GAMMA) % (1 << 64) for c in range(w)]
         np.add(steps[:m], np.array(rows, dtype=np.uint64)[:, None], out=b)
         _mix64_into(b, z.view(np.uint64))  # z is scratch until it gets the uniforms
@@ -137,20 +149,28 @@ def _values_for_range(generator: Generator, key: int, lo: int, out: np.ndarray) 
         np.right_shift(b, np.uint64(11), out=b)
         np.add(b.view(np.int64), 0.5, out=z)
         np.multiply(z, 2.0**-53, out=z)
-        ndtri(z, out=z)
+        # each pair's normal product is -ln u * sin(4 pi u'): the even rows
+        # get ln u, the odd rows sin(4 pi u')
+        radial, angular = z[0::2], z[1::2]
+        np.log(radial, out=radial)
+        np.multiply(angular, 4.0 * math.pi, out=angular)
+        np.sin(angular, out=angular)
         dst = out[a : a + m]
         np.multiply(z[0], z[1], out=dst)
         if generator is Generator.PRODUCT_SELF_DIFFERENCE:
+            # ln u2 sin(4 pi u3) - ln u0 sin(4 pi u1)
             np.multiply(z[2], z[3], out=z[2])
-            np.subtract(dst, z[2], out=dst)
+            np.subtract(z[2], dst, out=dst)
+        else:
+            np.negative(dst, out=dst)
 
 
 def sample(generator: Generator, seed: int, n: int) -> SampleBatch:
     """Draw n values.
 
     ``normal-product`` multiplies two independent standard normals per
-    value; ``product-self-difference`` draws four and returns
-    ``z1 z2 - z3 z4``.
+    value (one Box-Muller pair); ``product-self-difference`` draws four
+    (two pairs) and returns ``z1 z2 - z3 z4``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -5,25 +5,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr
 
 from lclab import dist, mc
 from lclab.mc import Generator
 from lclab.quadrature import adaptive_quad
 
 # Scaled KS statistics of the committed seed table at n = 10^6 against the
-# Laplace CDF, frozen from the sampling pipeline's first oracle run.
+# Laplace CDF, frozen from the first oracle run of the Box-Muller sampler
+# (-ln u * sin(4 pi u') per pair of uniforms).
 GOLDEN_SCALED = {
-    101: 1.209688128325,
-    102: 1.111116988452,
-    103: 0.747317520855,
-    104: 0.905700190296,
-    105: 0.693423011847,
-    106: 0.753630164568,
-    107: 0.722423889910,
-    108: 0.987254494405,
-    109: 1.371961057392,
-    110: 1.044766447954,
+    101: 0.749075718135,
+    102: 1.103778388258,
+    103: 0.685329676507,
+    104: 1.181743665288,
+    105: 0.669164643907,
+    106: 1.211585472116,
+    107: 1.576097689771,
+    108: 0.529366127372,
+    109: 1.274882125229,
+    110: 1.367643755288,
 }
 
 # sup |F_product - F_laplace| = 0.0985 at x ~ 0.463 (quadrature), so the
@@ -175,12 +176,25 @@ def _reference_uniforms(key, start, count):
 
 
 def _reference_values(generator, seed, n):
+    # -ln u * sin(4 pi u') per pair (u, u') of uniforms, on rows as the
+    # blocked sampler lays them out
     w = mc._STREAMS[generator][1]
     key = mc._stream_key(generator, seed)
-    z = ndtri(_reference_uniforms(key, 0, w * n).reshape(n, w))
+    u = _reference_uniforms(key, 0, w * n).reshape(n, w).T.copy()
+    products = np.log(u[0::2]) * np.sin(4.0 * math.pi * u[1::2])
     if generator is Generator.NORMAL_PRODUCT:
-        return z[:, 0] * z[:, 1]
-    return z[:, 0] * z[:, 1] - z[:, 2] * z[:, 3]
+        return -products[0]
+    return products[1] - products[0]
+
+
+def _pair_normals(generator, seed, n):
+    # the explicit Box-Muller normals r cos(theta), r sin(theta) of each
+    # uniform pair (u, u'), r = sqrt(-2 ln u) and theta = 2 pi u', and r^2
+    w = mc._STREAMS[generator][1]
+    u = _reference_uniforms(mc._stream_key(generator, seed), 0, w * n).reshape(-1, 2)
+    r2 = -2.0 * np.log(u[:, 0])
+    r, theta = np.sqrt(r2), 2.0 * math.pi * u[:, 1]
+    return r * np.cos(theta), r * np.sin(theta), r2
 
 
 def _values_in_pieces(generator, seed, n, k):
@@ -212,6 +226,31 @@ def test_blocked_sampler_matches_reference_at_chunk_offsets(generator):
     expected = _reference_values(generator, 7, n)
     for k in (2, 3, 5):
         assert np.array_equal(_values_in_pieces(generator, 7, n, k), expected)
+
+
+@pytest.mark.parametrize("generator", list(Generator))
+@pytest.mark.parametrize("seed", mc.GOLDEN_SEEDS[:2])
+def test_pair_normals_are_independent_standard_normals(generator, seed):
+    # the sampler's law rests on this, not on the Laplace identity
+    x, y, _ = _pair_normals(generator, seed, 10**6)
+    for coordinate in (x, y):
+        batch = mc.SampleBatch(generator, seed, coordinate.size, coordinate)
+        assert mc.ks_statistic(batch, ndtr, 0.001).passed
+    assert abs(np.corrcoef(x, y)[0, 1]) <= 4.0 / math.sqrt(x.size)
+
+
+@pytest.mark.parametrize("generator", list(Generator))
+@pytest.mark.parametrize("seed", mc.GOLDEN_SEEDS[:2])
+def test_sample_is_the_product_of_pair_normals(generator, seed):
+    # value j is x y of its pair (normal-product) or x y - x' y' of its two
+    # pairs, to within a few ulps of the squared radii
+    n = 10**6
+    x, y, r2 = _pair_normals(generator, seed, n)
+    pairs = mc._STREAMS[generator][1] // 2
+    products, r2 = (x * y).reshape(n, pairs), r2.reshape(n, pairs)
+    expected = products[:, 0] if pairs == 1 else products[:, 0] - products[:, 1]
+    error = np.abs(mc.sample(generator, seed, n).values - expected)
+    assert np.all(error <= 4 * np.spacing(r2.sum(axis=1)))
 
 
 def test_sample_memory_is_output_plus_block_buffers():
