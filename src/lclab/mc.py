@@ -1,32 +1,24 @@
 """Seeded Monte Carlo sampling and Kolmogorov-Smirnov goodness of fit.
 
-The uniform source is a counter-based SplitMix64 stream: output i is the
-SplitMix64 finalizer applied to ``key + (i+1) * GOLDEN``, so any index
-range can be generated independently and in parallel with bit-identical
-results.  Normals come in Box-Muller pairs: uniforms (u, u') give the
-independent standard normals r cos(theta) and r sin(theta), with
-r^2 = -2 ln u and theta = 2 pi u', whose product is -ln u * sin(4 pi u').
-The transform maps a fixed number of uniforms to a fixed number of normals
-(no rejection), so value j of a generator consuming w normals per value
-owns exactly the uniform indices ``w*j .. w*j + w - 1``, and each value
-costs one log and one sine per pair instead of two inverse normal CDFs.
+Each batch draws from its own ``np.random.Generator`` over an SFC64 bit
+generator seeded by ``SeedSequence([seed mod 2^64, tag])``, where the tag
+is the generator's domain, and takes its standard normals from numpy's
+ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5, 2000).  Value j of a
+generator consuming w normals per value owns normals ``w*j .. w*j + w - 1``
+of that stream, so the values do not depend on the block size and a
+shorter batch is a prefix of a longer one with the same seed.
 
-Generation is blocked and in place: the stream is produced ``_BLOCK``
-counter positions at a time through two preallocated buffers that stay
-in cache (counter -> SplitMix64 -> uniform -> ln u and sin(4 pi u') ->
-product or difference, all with ``out=`` ufuncs on the rows of a
-column-major block), so a batch needs its output plus O(block) memory and
-stays bit-identical to the full-array definition.
+Generation is blocked and in place: ``standard_normal(out=)`` fills a
+value-major ``(m, w)`` block of at most ``_BLOCK`` normals and the product
+(or difference of products) is formed into the output, so a batch needs
+its output plus O(block) memory.
 
 The KS statistic walks the sorted sample in blocks of the same size, so it
 needs the sorted values plus O(block).  ``ks_over_seeds`` runs its seeds on
 min(usable CPUs, seeds) threads (the process's CPU affinity, else the CPU
-count); there is no knob.  numpy ufuncs and the sort release the GIL, so
-the time falls with the cores (both generators' golden-seed tables at
-n = 10^6, one after the other, take ~1.3-1.4 s on one CPU of a shared
-2-vCPU AVX-512 x86-64 host and ~0.6-0.9 s on two, warm, median of 5), and
-the reports come back in seed order, bit-identical to one seed after
-another.
+count); there is no knob.  numpy's normal generation, ufuncs and sort
+release the GIL, so the time falls with the cores, and the reports come
+back in seed order, bit-identical to one seed after another.
 """
 
 from __future__ import annotations
@@ -48,9 +40,6 @@ GOLDEN_SEEDS: tuple[int, ...] = (101, 102, 103, 104, 105, 106, 107, 108, 109, 11
 #: Significance level of every KS test whose caller sets none
 KS_ALPHA = 0.001
 
-_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 
 class Generator(enum.Enum):
     """Named sampling pipelines."""
@@ -60,10 +49,10 @@ class Generator(enum.Enum):
 
 
 #: Per generator: its stream-domain tag, so different generators with the
-#: same seed do not share uniform indices, and the normals per value
+#: same seed draw from different streams, and the normals per value
 _STREAMS = {
-    Generator.NORMAL_PRODUCT: (np.uint64(0x4E50), 2),
-    Generator.PRODUCT_SELF_DIFFERENCE: (np.uint64(0x505344), 4),
+    Generator.NORMAL_PRODUCT: (0x4E50, 2),
+    Generator.PRODUCT_SELF_DIFFERENCE: (0x505344, 4),
 }
 
 
@@ -71,9 +60,13 @@ _STREAMS = {
 class SampleBatch:
     """Reproducible draws: (generator, seed, n) determines values bit-exactly.
 
-    Bit-exact for a given numpy build and SIMD dispatch: ``np.log`` runs
-    SIMD-dispatched loops, which may round differently on another CPU or
-    numpy version; the law of the draws does not depend on either.
+    Bit-exact for numpy's SFC64 stream and ``standard_normal`` on any CPU:
+    the ziggurat is scalar C, not a SIMD-dispatched loop, and a product or
+    difference rounds the same in any loop (its rare wedge and tail steps
+    call the C library's ``exp`` and ``log1p``, so another libm could move
+    a tail draw).  NEP 19 fixes the SFC64 bits but lets a numpy feature
+    release change the algorithm behind a ``Generator`` method, so a new
+    numpy may move the draws; their law does not depend on either.
     """
 
     generator: Generator
@@ -104,79 +97,35 @@ class KSReport:
         }
 
 
-#: Counter positions per generation block: the two 512 KiB block buffers
-#: (mixed bits; uniforms, then their logs and sines) and the row steps fit
-#: in a 2 MiB L2 cache.
+#: Normals per generation block: the 512 KiB block buffer fits in a
+#: 2 MiB L2 cache
 _BLOCK = 1 << 16
-
-
-def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
-    """SplitMix64 finalizer applied to z in place; tmp is scratch of z's shape."""
-    for shift, mult in ((30, _MIX1), (27, _MIX2)):
-        np.right_shift(z, np.uint64(shift), out=tmp)
-        np.bitwise_xor(z, tmp, out=z)
-        np.multiply(z, mult, out=z)
-    np.right_shift(z, np.uint64(31), out=tmp)
-    np.bitwise_xor(z, tmp, out=z)
-
-
-def _stream_key(generator: Generator, seed: int) -> int:
-    z = np.array([seed % (1 << 64)], dtype=np.uint64) ^ _STREAMS[generator][0]
-    _mix64_into(z, np.empty_like(z))
-    return int(z[0])
-
-
-def _values_for_range(generator: Generator, key: int, lo: int, out: np.ndarray) -> None:
-    """Values lo..lo+len(out)-1 of the generator's stream, written into out.
-
-    Row c of a block holds uniform c of each value j (counter w*j + c);
-    rows 2p and 2p+1 are the value's Box-Muller pair p.
-    """
-    w = _STREAMS[generator][1]
-    per_block = max(1, min(_BLOCK // w, out.size))
-    steps = np.arange(per_block, dtype=np.uint64) * np.uint64(w * _GOLDEN_GAMMA % (1 << 64))
-    bits = np.empty(w * per_block, dtype=np.uint64)
-    uniforms = np.empty(w * per_block)
-    for a in range(0, out.size, per_block):
-        m = min(per_block, out.size - a)
-        b = bits[: w * m].reshape(w, m)
-        z = uniforms[: w * m].reshape(w, m)
-        rows = [(key + (w * (lo + a) + c + 1) * _GOLDEN_GAMMA) % (1 << 64) for c in range(w)]
-        np.add(steps[:m], np.array(rows, dtype=np.uint64)[:, None], out=b)
-        _mix64_into(b, z.view(np.uint64))  # z is scratch until it gets the uniforms
-        # 53-bit mantissa (exact as int64), offset by half a lattice cell so 0
-        # and 1 are excluded
-        np.right_shift(b, np.uint64(11), out=b)
-        np.add(b.view(np.int64), 0.5, out=z)
-        np.multiply(z, 2.0**-53, out=z)
-        # each pair's normal product is -ln u * sin(4 pi u'): the even rows
-        # get ln u, the odd rows sin(4 pi u')
-        radial, angular = z[0::2], z[1::2]
-        np.log(radial, out=radial)
-        np.multiply(angular, 4.0 * math.pi, out=angular)
-        np.sin(angular, out=angular)
-        dst = out[a : a + m]
-        np.multiply(z[0], z[1], out=dst)
-        if generator is Generator.PRODUCT_SELF_DIFFERENCE:
-            # ln u2 sin(4 pi u3) - ln u0 sin(4 pi u1)
-            np.multiply(z[2], z[3], out=z[2])
-            np.subtract(z[2], dst, out=dst)
-        else:
-            np.negative(dst, out=dst)
 
 
 def sample(generator: Generator, seed: int, n: int) -> SampleBatch:
     """Draw n values.
 
     ``normal-product`` multiplies two independent standard normals per
-    value (one Box-Muller pair); ``product-self-difference`` draws four
-    (two pairs) and returns ``z1 z2 - z3 z4``.
+    value; ``product-self-difference`` draws four and returns
+    ``z0 z1 - z2 z3``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     generator = Generator(generator)
+    tag, w = _STREAMS[generator]
+    seed_seq = np.random.SeedSequence([int(seed) % (1 << 64), tag])
+    rng = np.random.Generator(np.random.SFC64(seed_seq))
     values = np.empty(n)
-    _values_for_range(generator, _stream_key(generator, seed), 0, values)
+    per_block = min(_BLOCK // w, n)
+    normals = np.empty((per_block, w))
+    for a in range(0, n, per_block):
+        z = normals[: min(per_block, n - a)]
+        rng.standard_normal(out=z)
+        dst = values[a : a + z.shape[0]]
+        np.multiply(z[:, 0], z[:, 1], out=dst)
+        if w == 4:
+            np.multiply(z[:, 2], z[:, 3], out=z[:, 2])
+            np.subtract(dst, z[:, 2], out=dst)
     return SampleBatch(generator, int(seed), int(n), values)
 
 
@@ -209,7 +158,8 @@ def _ks_sorted(x: np.ndarray, cdf: Callable, alpha: float) -> KSReport:
     for a in range(0, n, _BLOCK):
         m = min(_BLOCK, n - a)
         f = np.asarray(cdf(x[a : a + m]), dtype=float)
-        if f[0] < prev or np.any(f[1:] < f[:-1]):
+        # written so that a NaN, in the sample or from the CDF, fails them
+        if not (f[0] >= prev) or not np.all(f[1:] >= f[:-1]):
             raise ValueError("reference CDF is not monotone on the sample")
         if a == 0:
             first = f[0]
@@ -220,9 +170,8 @@ def _ks_sorted(x: np.ndarray, cdf: Callable, alpha: float) -> KSReport:
         np.add(offsets[: m + 1], a, out=lv)
         np.divide(lv, n, out=lv)
         g = gap[:m]
-        # np.maximum keeps a NaN from the CDF, as one full-array max would
-        d_plus = float(np.maximum(d_plus, np.max(np.subtract(lv[1:], f, out=g))))
-        d_minus = float(np.maximum(d_minus, np.max(np.subtract(f, lv[:-1], out=g))))
+        d_plus = max(d_plus, float(np.max(np.subtract(lv[1:], f, out=g))))
+        d_minus = max(d_minus, float(np.max(np.subtract(f, lv[:-1], out=g))))
     if first < 0.0 or prev > 1.0:
         raise ValueError("reference CDF leaves [0, 1]")
     d = max(d_plus, d_minus)

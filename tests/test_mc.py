@@ -12,19 +12,19 @@ from lclab.mc import Generator
 from lclab.quadrature import adaptive_quad
 
 # Scaled KS statistics of the committed seed table at n = 10^6 against the
-# Laplace CDF, frozen from the first oracle run of the Box-Muller sampler
-# (-ln u * sin(4 pi u') per pair of uniforms).
+# Laplace CDF, frozen from the first oracle run of the SFC64 sampler
+# (numpy's ziggurat standard_normal on a seeded SFC64 stream).
 GOLDEN_SCALED = {
-    101: 0.749075718135,
-    102: 1.103778388258,
-    103: 0.685329676507,
-    104: 1.181743665288,
-    105: 0.669164643907,
-    106: 1.211585472116,
-    107: 1.576097689771,
-    108: 0.529366127372,
-    109: 1.274882125229,
-    110: 1.367643755288,
+    101: 0.841171878464,
+    102: 0.876827192994,
+    103: 0.807355982670,
+    104: 0.519344939605,
+    105: 0.771740508629,
+    106: 0.736714630933,
+    107: 1.092001014866,
+    108: 0.784133514724,
+    109: 0.982804541709,
+    110: 1.006260107349,
 }
 
 # sup |F_product - F_laplace| = 0.0985 at x ~ 0.463 (quadrature), so the
@@ -52,15 +52,23 @@ def test_generators_are_domain_separated():
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=5000),
-    st.integers(min_value=1, max_value=16),
-    st.integers(min_value=0, max_value=2**63 - 1),
+    st.sampled_from(list(Generator)),
+    st.integers(min_value=1, max_value=40_000),
+    st.integers(min_value=1, max_value=40_000),
+    st.integers(min_value=0, max_value=2**64 - 1),
 )
-def test_chunked_generation_matches_single_pass(n, k, seed):
-    # k > n leaves some pieces empty
-    single = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, seed, n)
-    chunked = _values_in_pieces(Generator.PRODUCT_SELF_DIFFERENCE, seed, n, k)
-    assert np.array_equal(single.values, chunked)
+def test_shorter_sample_is_a_prefix_of_a_longer_one(generator, n, m, seed):
+    # value j owns normals w*j .. w*j + w - 1, so the values do not depend
+    # on n; up to 40000 values cross the 2^16-normal block boundaries
+    n, m = max(n, m), min(n, m)
+    assert np.array_equal(mc.sample(generator, seed, n).values[:m], mc.sample(generator, seed, m).values)
+
+
+@pytest.mark.parametrize("generator", list(Generator))
+def test_seed_is_taken_mod_2_64(generator):
+    a = mc.sample(generator, -5, 1000)
+    assert np.array_equal(a.values, mc.sample(generator, 2**64 - 5, 1000).values)
+    assert a.seed == -5
 
 
 def test_values_finite():
@@ -122,6 +130,20 @@ def test_ks_rejects_empty_and_nonmonotone():
         mc.ks_statistic(wide, lambda x: dist.laplace_cdf(x) - 0.25 * (x >= cut))
 
 
+def test_ks_rejects_nan():
+    # a NaN, in the sample or from the CDF, is an error, not a KS rejection
+    batch = mc.sample(Generator.NORMAL_PRODUCT, 1, 100)
+    batch.values[37] = np.nan
+    with pytest.raises(ValueError, match="not monotone"):
+        mc.ks_statistic(batch, dist.laplace_cdf)
+    # NaN at the first entry of the second KS block, then inside it
+    wide = mc.sample(Generator.NORMAL_PRODUCT, 1, mc._BLOCK + 100)
+    for k in (mc._BLOCK, mc._BLOCK + 50):
+        cut = np.sort(wide.values)[k]
+        with pytest.raises(ValueError, match="not monotone"):
+            mc.ks_statistic(wide, lambda x: np.where(x == cut, np.nan, dist.laplace_cdf(x)))
+
+
 def test_golden_seed_table_against_laplace():
     reports = mc.ks_over_seeds(
         Generator.PRODUCT_SELF_DIFFERENCE, mc.GOLDEN_SEEDS, 10**6, dist.laplace_cdf, 0.001
@@ -165,46 +187,17 @@ def test_ks_report_dict_keys():
     assert payload["threshold"] == pytest.approx(1.628, abs=5e-4)
 
 
-def _reference_uniforms(key, start, count):
-    # the counter definition as one full-array expression
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    z = np.uint64(key) + (idx + np.uint64(1)) * mc._GOLDEN_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * mc._MIX1
-    z = (z ^ (z >> np.uint64(27))) * mc._MIX2
-    z = z ^ (z >> np.uint64(31))
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
-
-
-def _reference_values(generator, seed, n):
-    # -ln u * sin(4 pi u') per pair (u, u') of uniforms, on rows as the
-    # blocked sampler lays them out
-    w = mc._STREAMS[generator][1]
-    key = mc._stream_key(generator, seed)
-    u = _reference_uniforms(key, 0, w * n).reshape(n, w).T.copy()
-    products = np.log(u[0::2]) * np.sin(4.0 * math.pi * u[1::2])
-    if generator is Generator.NORMAL_PRODUCT:
-        return -products[0]
-    return products[1] - products[0]
-
-
-def _pair_normals(generator, seed, n):
-    # the explicit Box-Muller normals r cos(theta), r sin(theta) of each
-    # uniform pair (u, u'), r = sqrt(-2 ln u) and theta = 2 pi u', and r^2
-    w = mc._STREAMS[generator][1]
-    u = _reference_uniforms(mc._stream_key(generator, seed), 0, w * n).reshape(-1, 2)
-    r2 = -2.0 * np.log(u[:, 0])
-    r, theta = np.sqrt(r2), 2.0 * math.pi * u[:, 1]
-    return r * np.cos(theta), r * np.sin(theta), r2
-
-
-def _values_in_pieces(generator, seed, n, k):
-    # values 0..n-1 written by _values_for_range in k contiguous pieces
-    out = np.empty(n)
-    key = mc._stream_key(generator, seed)
-    bounds = np.linspace(0, n, k + 1, dtype=int)
-    for lo, hi in zip(bounds, bounds[1:]):
-        mc._values_for_range(generator, key, int(lo), out[lo:hi])
-    return out
+def _reference(generator, seed, n):
+    # the stream definition as one full-array draw: value j owns normals
+    # w*j .. w*j + w - 1 of the seeded SFC64 generator; returns the (n, w)
+    # normals and the values made of them
+    tag, w = mc._STREAMS[generator]
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed % 2**64, tag])))
+    z = rng.standard_normal(w * n).reshape(n, w)
+    values = z[:, 0] * z[:, 1]
+    if w == 4:
+        values = values - z[:, 2] * z[:, 3]
+    return z, values
 
 
 def _block_sizes(generator):
@@ -215,42 +208,40 @@ def _block_sizes(generator):
 @pytest.mark.parametrize("generator", list(Generator))
 def test_blocked_sampler_matches_full_array_reference(generator):
     for n in _block_sizes(generator):
-        expected = _reference_values(generator, 101, n)
-        assert np.array_equal(mc.sample(generator, 101, n).values, expected)
+        assert np.array_equal(mc.sample(generator, 101, n).values, _reference(generator, 101, n)[1])
 
 
 @pytest.mark.parametrize("generator", list(Generator))
-def test_blocked_sampler_matches_reference_at_chunk_offsets(generator):
-    # chunks start at non-zero, non-block-aligned value offsets
-    n = _block_sizes(generator)[-1]
-    expected = _reference_values(generator, 7, n)
-    for k in (2, 3, 5):
-        assert np.array_equal(_values_in_pieces(generator, 7, n, k), expected)
+def test_blocked_sampler_matches_reference_at_chunk_offsets(generator, monkeypatch):
+    # smaller blocks start at other value offsets, down to one value a block
+    n = 1000
+    expected = _reference(generator, 7, n)[1]
+    for block in (4, 12, 2**10):
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        assert np.array_equal(mc.sample(generator, 7, n).values, expected)
 
 
 @pytest.mark.parametrize("generator", list(Generator))
 @pytest.mark.parametrize("seed", mc.GOLDEN_SEEDS[:2])
 def test_pair_normals_are_independent_standard_normals(generator, seed):
-    # the sampler's law rests on this, not on the Laplace identity
-    x, y, _ = _pair_normals(generator, seed, 10**6)
-    for coordinate in (x, y):
-        batch = mc.SampleBatch(generator, seed, coordinate.size, coordinate)
+    # the sampler's law rests on this, not on the Laplace identity: each
+    # normal slot of a value passes KS against the normal CDF, and no two
+    # slots correlate beyond 4 sigma
+    z, _ = _reference(generator, seed, 10**6)
+    for column in z.T:
+        batch = mc.SampleBatch(generator, seed, column.size, column)
         assert mc.ks_statistic(batch, ndtr, 0.001).passed
-    assert abs(np.corrcoef(x, y)[0, 1]) <= 4.0 / math.sqrt(x.size)
+    off_diagonal = np.corrcoef(z.T)[np.triu_indices(z.shape[1], k=1)]
+    assert np.all(np.abs(off_diagonal) <= 4.0 / math.sqrt(z.shape[0]))
 
 
 @pytest.mark.parametrize("generator", list(Generator))
 @pytest.mark.parametrize("seed", mc.GOLDEN_SEEDS[:2])
 def test_sample_is_the_product_of_pair_normals(generator, seed):
-    # value j is x y of its pair (normal-product) or x y - x' y' of its two
-    # pairs, to within a few ulps of the squared radii
+    # at the golden seeds and n, value j is z0 z1 (normal-product) or
+    # z0 z1 - z2 z3 of the very normals the law test above checks
     n = 10**6
-    x, y, r2 = _pair_normals(generator, seed, n)
-    pairs = mc._STREAMS[generator][1] // 2
-    products, r2 = (x * y).reshape(n, pairs), r2.reshape(n, pairs)
-    expected = products[:, 0] if pairs == 1 else products[:, 0] - products[:, 1]
-    error = np.abs(mc.sample(generator, seed, n).values - expected)
-    assert np.all(error <= 4 * np.spacing(r2.sum(axis=1)))
+    assert np.array_equal(mc.sample(generator, seed, n).values, _reference(generator, seed, n)[1])
 
 
 def test_sample_memory_is_output_plus_block_buffers():
