@@ -12,8 +12,10 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
+from typing import Iterable
 
 from . import dist, mc, shape, specfun, transform, verify
 from .errors import NonConvergenceError
@@ -22,15 +24,29 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or its chunks in turn, to path ('-' = stdout).
+
+    A file is written atomically with the mode a plain ``open(path, "w")``
+    leaves: the existing file's, else 0o666 less the umask (``mkstemp``
+    alone would make it 0600).
+    """
+    chunks = (text,) if isinstance(text, str) else text
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -253,10 +269,16 @@ def _cmd_shape(args) -> int:
     return EXIT_OK
 
 
+def _values_csv(values):
+    """The values CSV in chunks of ``mc._BLOCK`` rows, so it needs O(block) memory."""
+    yield "value\n"
+    for a in range(0, values.size, mc._BLOCK):
+        yield "".join(f"{v:.17g}\n" for v in values[a : a + mc._BLOCK].tolist())
+
+
 def _cmd_sample(args) -> int:
     batch = mc.sample(mc.Generator(args.generator), args.seed, args.n)
-    lines = ["value"] + [f"{v:.17g}" for v in batch.values]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, _values_csv(batch.values))
     if args.ks or args.ks_out is not None:
         report = mc.ks_statistic(batch, dist.laplace_cdf, args.alpha)
         payload = {"generator": batch.generator.value, "seed": batch.seed}

@@ -13,12 +13,13 @@ value-major ``(m, w)`` block of at most ``_BLOCK`` normals and the product
 (or difference of products) is formed into the output, so a batch needs
 its output plus O(block) memory.
 
-The KS statistic walks the sorted sample in blocks of the same size, so it
-needs the sorted values plus O(block).  ``ks_over_seeds`` runs its seeds on
-min(usable CPUs, seeds) threads (the process's CPU affinity, else the CPU
-count); there is no knob.  numpy's normal generation, ufuncs and sort
-release the GIL, so the time falls with the cores, and the reports come
-back in seed order, bit-identical to one seed after another.
+``ks_statistic`` sorts the batch in place and walks it in blocks of the
+same size, so it needs O(block) beyond the batch.  ``ks_over_seeds`` runs
+the seed table of both generators, one job per (generator, seed), on one
+pool of min(usable CPUs, jobs) threads (the process's CPU affinity, else
+the CPU count); there is no knob.  numpy's normal generation, ufuncs and
+sort release the GIL, so the time falls with the cores, and the reports
+come back in seed order, bit-identical to one job after another.
 """
 
 from __future__ import annotations
@@ -140,16 +141,21 @@ def kolmogorov_threshold(alpha: float) -> float:
     return float(kolmogi(alpha))
 
 
-def _ks_sorted(x: np.ndarray, cdf: Callable, alpha: float) -> KSReport:
-    """KS report of an ascending sample x, walked in ``_BLOCK``-entry blocks.
+def ks_statistic(batch: SampleBatch, cdf: Callable, alpha: float = KS_ALPHA) -> KSReport:
+    """Exact one-sample KS statistic of the batch against a reference CDF.
 
-    Each block holds its CDF values and the levels k/n for its k (the same
-    doubles as the integer quotients), so the running D+ and D- are those
-    of the full-array formula and memory is O(block) beyond x.
+    D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted
+    sample; the report passes iff sqrt(n) D <= c(alpha).  ``batch.values``
+    is sorted in place, then walked in ``_BLOCK``-entry blocks: each block
+    holds its CDF values and the levels k/n for its k (the same doubles as
+    the integer quotients), so the running D+ and D- are those of the
+    full-array formula and memory is O(block) beyond the batch.
     """
+    x = batch.values
     n = x.size
     if n == 0:
         raise ValueError("empty sample batch")
+    x.sort()
     levels = np.empty(min(n, _BLOCK) + 1)
     offsets = np.arange(levels.size, dtype=float)
     gap = np.empty(levels.size - 1)
@@ -180,23 +186,6 @@ def _ks_sorted(x: np.ndarray, cdf: Callable, alpha: float) -> KSReport:
     return KSReport(n, d, scaled, alpha, threshold, scaled <= threshold)
 
 
-def ks_statistic(batch: SampleBatch, cdf: Callable, alpha: float = KS_ALPHA) -> KSReport:
-    """Exact one-sample KS statistic of the batch against a reference CDF.
-
-    D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted
-    sample; the report passes iff sqrt(n) D <= c(alpha).  The batch is not
-    modified: a sorted copy is walked.
-    """
-    return _ks_sorted(np.sort(batch.values), cdf, alpha)
-
-
-def _ks_of_seed(generator: Generator, seed: int, n: int, cdf: Callable, alpha: float) -> KSReport:
-    """Sample one seed and sort the batch it owns in place before the KS walk."""
-    batch = sample(generator, seed, n)
-    batch.values.sort()
-    return _ks_sorted(batch.values, cdf, alpha)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -205,18 +194,21 @@ def _usable_cpus() -> int:
 
 
 def ks_over_seeds(
-    generator: Generator,
-    seeds: Sequence[int],
-    n: int,
-    cdf: Callable,
-    alpha: float = KS_ALPHA,
-) -> list[KSReport]:
-    """KS reports for one generator across a seed table, in seed order.
+    seeds: Sequence[int], n: int, cdf: Callable, alpha: float = KS_ALPHA
+) -> dict[Generator, list[KSReport]]:
+    """KS reports of both generators across a seed table, each list in seed order.
 
-    The seeds run on min(usable CPUs, seeds) threads, so ``cdf`` is called
-    from several threads at once; an error in any job is raised here, the
-    first in seed order.
+    Each (generator, seed) job is ``ks_statistic(sample(generator, seed, n))``
+    and owns its batch.  The jobs run on one pool of min(usable CPUs, jobs)
+    threads, so ``cdf`` is called from several threads at once; an error in
+    any job is raised here, the first in job order (self-difference seeds,
+    then product seeds).
     """
-    workers = max(1, min(_usable_cpus(), len(seeds)))
+    # self-difference jobs first: they draw twice the normals
+    order = (Generator.PRODUCT_SELF_DIFFERENCE, Generator.NORMAL_PRODUCT)
+    jobs = [(g, s) for g in order for s in seeds]
+    workers = max(1, min(_usable_cpus(), len(jobs)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: _ks_of_seed(generator, s, n, cdf, alpha), seeds))
+        reports = list(pool.map(lambda job: ks_statistic(sample(*job, n), cdf, alpha), jobs))
+    k = len(seeds)
+    return {g: reports[i * k : (i + 1) * k] for i, g in enumerate(order)}

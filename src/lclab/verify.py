@@ -195,8 +195,9 @@ def _shape_step(
 
 def _monte_carlo_step(n: int) -> StepResult:
     seeds = mc.GOLDEN_SEEDS
-    good = mc.ks_over_seeds(mc.Generator.PRODUCT_SELF_DIFFERENCE, seeds, n, dist.laplace_cdf)
-    bad = mc.ks_over_seeds(mc.Generator.NORMAL_PRODUCT, seeds, n, dist.laplace_cdf)
+    reports = mc.ks_over_seeds(seeds, n, dist.laplace_cdf)
+    good = reports[mc.Generator.PRODUCT_SELF_DIFFERENCE]
+    bad = reports[mc.Generator.NORMAL_PRODUCT]
     n_pass = sum(r.passed for r in good)
     n_bad_fail = sum(not r.passed for r in bad)
     passed = n_pass >= len(seeds) - 1 and n_bad_fail == len(seeds)

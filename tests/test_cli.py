@@ -1,12 +1,15 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lclab import dist
+from lclab import dist, mc
 from lclab.cli import main
 
 
@@ -182,6 +185,60 @@ def test_sample_csv_and_ks_json(tmp_path, capsys):
         "--n", "2000", "--out", str(again),
     )
     assert again.read_text() == values_path.read_text()
+
+
+@pytest.mark.parametrize("block", [2**12, mc._BLOCK])
+def test_sample_csv_memory_is_the_batch_plus_blocks(block, tmp_path, monkeypatch, capsys):
+    # the CSV is written a block of rows at a time, not built whole: about
+    # 110 bytes a row of a block on CPython, against ~360 a row of the batch
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    n = 200_000
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(
+            capsys, "sample", "--generator", "product-self-difference", "--seed", "101",
+            "--n", str(n), "--out", str(tmp_path / "values.csv"),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak - 8 * n <= 160 * block
+
+
+@pytest.fixture(params=[0o022, 0o077, 0o002], ids=lambda m: f"umask{m:03o}")
+def umask(request):
+    old = os.umask(request.param)
+    try:
+        yield request.param
+    finally:
+        os.umask(old)
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--law", "laplace", "--cells", "64", "--out"],
+        ["selfdiff", "--law", "laplace", "--cells", "64", "--out"],
+        ["verify-theorem", "--out"],
+        ["sample", "--generator", "normal-product", "--seed", "1", "--n", "10", "--ks-out"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_file_mode_is_that_of_a_plain_open(argv, umask, tmp_path, capsys):
+    # a new file gets 0666 less the umask and an existing file keeps its mode,
+    # as open(path, "w") leaves them, though it is written atomically
+    path = tmp_path / "out"
+    assert run_cli(capsys, *argv, str(path))[0] == 0
+    assert _mode(path) == 0o666 & ~umask
+    path.chmod(0o640)
+    assert run_cli(capsys, *argv, str(path))[0] == 0
+    assert _mode(path) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def test_unallocatable_sample_size_exits_1(capsys):

@@ -144,21 +144,22 @@ def test_ks_rejects_nan():
             mc.ks_statistic(wide, lambda x: np.where(x == cut, np.nan, dist.laplace_cdf(x)))
 
 
-def test_golden_seed_table_against_laplace():
-    reports = mc.ks_over_seeds(
-        Generator.PRODUCT_SELF_DIFFERENCE, mc.GOLDEN_SEEDS, 10**6, dist.laplace_cdf, 0.001
-    )
+@pytest.fixture(scope="module")
+def golden_table():
+    return mc.ks_over_seeds(mc.GOLDEN_SEEDS, 10**6, dist.laplace_cdf, 0.001)
+
+
+def test_golden_seed_table_against_laplace(golden_table):
+    reports = golden_table[Generator.PRODUCT_SELF_DIFFERENCE]
     passed = sum(r.passed for r in reports)
     assert passed >= 9
     for seed, report in zip(mc.GOLDEN_SEEDS, reports):
         assert report.scaled == pytest.approx(GOLDEN_SCALED[seed], rel=1e-9)
 
 
-def test_product_law_fails_ks_against_laplace():
+def test_product_law_fails_ks_against_laplace(golden_table):
     # brute-force CDF distance 0.0985 >> any KS acceptance band at n = 10^6
-    reports = mc.ks_over_seeds(
-        Generator.NORMAL_PRODUCT, mc.GOLDEN_SEEDS, 10**6, dist.laplace_cdf, 0.001
-    )
+    reports = golden_table[Generator.NORMAL_PRODUCT]
     assert all(not r.passed for r in reports)
     expected_scale = math.sqrt(10**6) * CDF_SUP_DISTANCE
     for r in reports:
@@ -228,11 +229,12 @@ def test_pair_normals_are_independent_standard_normals(generator, seed):
     # normal slot of a value passes KS against the normal CDF, and no two
     # slots correlate beyond 4 sigma
     z, _ = _reference(generator, seed, 10**6)
+    # before the KS tests, which sort each column in place
+    off_diagonal = np.corrcoef(z.T)[np.triu_indices(z.shape[1], k=1)]
+    assert np.all(np.abs(off_diagonal) <= 4.0 / math.sqrt(z.shape[0]))
     for column in z.T:
         batch = mc.SampleBatch(generator, seed, column.size, column)
         assert mc.ks_statistic(batch, ndtr, 0.001).passed
-    off_diagonal = np.corrcoef(z.T)[np.triu_indices(z.shape[1], k=1)]
-    assert np.all(np.abs(off_diagonal) <= 4.0 / math.sqrt(z.shape[0]))
 
 
 @pytest.mark.parametrize("generator", list(Generator))
@@ -278,16 +280,18 @@ def test_ks_statistic_equals_textbook_formula():
     assert report.statistic == _textbook_ks(quantiles, dist.laplace_cdf)
 
 
-def test_ks_statistic_leaves_batch_unchanged():
-    # `lclab sample --ks` tests the batch it has just written to the CSV, and a
-    # caller may use the batch again after the test
-    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, 10_000)
-    before = batch.values.copy()
-    mc.ks_statistic(batch, dist.laplace_cdf)
-    assert np.array_equal(batch.values, before)
+def test_ks_statistic_sorts_batch_in_place():
+    # the walk needs the sorted sample and the batch is the job's own, so no
+    # copy is made: the batch comes back sorted, with the report of a batch
+    # sorted beforehand
+    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, mc._BLOCK + 10_000)
+    presorted = mc.SampleBatch(batch.generator, batch.seed, batch.n, np.sort(batch.values))
+    report = mc.ks_statistic(batch, dist.laplace_cdf)
+    assert np.array_equal(batch.values, presorted.values)
+    assert report == mc.ks_statistic(presorted, dist.laplace_cdf)
 
 
-def test_ks_statistic_memory_is_one_sorted_copy_plus_blocks():
+def test_ks_statistic_memory_is_blocks_beyond_the_batch():
     batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, 10**6)
     tracemalloc.start()
     try:
@@ -295,28 +299,71 @@ def test_ks_statistic_memory_is_one_sorted_copy_plus_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * batch.values.nbytes
+    assert peak <= 0.5 * batch.values.nbytes
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_ks_over_seeds_equals_serial_reports(monkeypatch, cpus):
-    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    _cpus(monkeypatch, cpus)
     seeds, n = (101, 102, 103, 104, 105), mc._BLOCK + 3
-    for generator in Generator:
-        serial = [mc.ks_statistic(mc.sample(generator, s, n), dist.laplace_cdf, 0.01) for s in seeds]
-        assert mc.ks_over_seeds(generator, seeds, n, dist.laplace_cdf, 0.01) == serial
+    serial = {
+        g: [mc.ks_statistic(mc.sample(g, s, n), dist.laplace_cdf, 0.01) for s in seeds]
+        for g in Generator
+    }
+    assert mc.ks_over_seeds(seeds, n, dist.laplace_cdf, 0.01) == serial
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_ks_over_seeds_raises_a_failing_job(monkeypatch, cpus):
-    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    _cpus(monkeypatch, cpus)
     seeds, n = (101, 102, 103, 104), 1000
-    lowest = float(mc.sample(Generator.NORMAL_PRODUCT, 103, n).values.min())
+    # each sample's lowest value, its first entry once sorted
+    lowest = {
+        (g, s): float(mc.sample(g, s, n).values.min()) for g in Generator for s in (102, 103)
+    }
 
-    def cdf(x):
-        # leaves [0, 1] on seed 103's sample only
-        f = dist.laplace_cdf(x)
-        return f - 1.0 if x[0] == lowest else f
+    def cdf(fails):
+        def broken_cdf(x):
+            # leaves [0, 1] or is decreasing on the samples named in fails
+            f = dist.laplace_cdf(x)
+            for job, how in fails.items():
+                if x[0] == lowest[job]:
+                    return f - 1.0 if how == "leaves" else -f
+            return f
+
+        return broken_cdf
 
     with pytest.raises(ValueError, match="leaves"):
-        mc.ks_over_seeds(Generator.NORMAL_PRODUCT, seeds, n, cdf)
+        mc.ks_over_seeds(seeds, n, cdf({(Generator.NORMAL_PRODUCT, 103): "leaves"}))
+    # the self-difference jobs come first, then seed order
+    first = {
+        (Generator.NORMAL_PRODUCT, 102): "monotone",
+        (Generator.PRODUCT_SELF_DIFFERENCE, 103): "leaves",
+    }
+    with pytest.raises(ValueError, match="leaves"):
+        mc.ks_over_seeds(seeds, n, cdf(first))
+    first = {
+        (Generator.PRODUCT_SELF_DIFFERENCE, 102): "monotone",
+        (Generator.PRODUCT_SELF_DIFFERENCE, 103): "leaves",
+    }
+    with pytest.raises(ValueError, match="not monotone"):
+        mc.ks_over_seeds(seeds, n, cdf(first))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_ks_over_seeds_memory_is_one_batch_per_worker(monkeypatch, cpus):
+    # each job owns and sorts its one batch, so at most one batch per thread
+    # is alive at a time; at n = 10^6 a batch outweighs a job's O(block) buffers
+    _cpus(monkeypatch, cpus)
+    n = 10**6
+    tracemalloc.start()
+    try:
+        mc.ks_over_seeds(mc.GOLDEN_SEEDS, n, dist.laplace_cdf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cpus * 1.5 * 8 * n
