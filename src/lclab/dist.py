@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -116,8 +116,8 @@ def builtin_density_names() -> tuple[str, ...]:
 def laplace_cdf(x):
     """Laplace(0,1) CDF: exp(x)/2 for x <= 0, 1 - exp(-x)/2 otherwise."""
     arr = np.asarray(x, dtype=float)
-    # one exponential serves both branches, all in place: beyond the result a
-    # KS call holds only the n-byte branch mask
+    # one exponential serves both branches, in place: beyond its result a call
+    # holds only the branch mask (``mc.ks_statistic`` passes 2^16-entry blocks)
     half = np.abs(arr, out=np.empty_like(arr))
     np.negative(half, out=half)
     np.exp(half, out=half)
@@ -218,13 +218,7 @@ class GridDensity:
                 f"grid of half-width {self.half_width:g} with {self.n_cells} cells "
                 "cannot be normalized: its mass or unit-mass values overflow"
             )
-        return GridDensity(
-            self.half_width,
-            values,
-            raw_mass=m,
-            singular_points=self.singular_points,
-            trusted_half_width=self.trusted_half_width,
-        )
+        return replace(self, values=values, raw_mass=m)
 
     def to_csv(self) -> str:
         """Serialize as ``x,density`` rows with 17 significant digits.

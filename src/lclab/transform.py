@@ -111,6 +111,11 @@ def _log2(x: np.ndarray) -> np.ndarray:
         return np.log2(x)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b by numpy's own loop: BLAS would split a long dot over its threads."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _saddle_bins(log2x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centres and log2 root-sum-squares of at most ``_SADDLE_BINS`` runs of x.
 
@@ -222,7 +227,7 @@ def _first_short_lag(v: np.ndarray, floor: float) -> int:
     ``floor`` downwards.
     """
     n = v.size
-    return bisect.bisect_left(range(n), True, key=lambda d: float(v[: n - d] @ v[d:]) < floor)
+    return bisect.bisect_left(range(n), True, key=lambda d: _dot(v[: n - d], v[d:]) < floor)
 
 
 def _fft_length(r: int) -> int:
@@ -273,14 +278,14 @@ def _tilt_pass(
     work = work[:m]  # the zero-padded factors, then their convolution
     work[r:] = 0.0
     work[:r], ja, ea = _tilted(*a, phi)
-    norm_a = math.sqrt(float(work[:r] @ work[:r]))
+    norm_a = math.sqrt(_dot(work[:r], work[:r]))
     spec = np.fft.rfft(work)
     if b is None:
         jb, eb, norm_b = ja, ea, norm_a
         spec *= spec
     else:
         work[:r], jb, eb = _tilted(*b, phi)
-        norm_b = math.sqrt(float(work[:r] @ work[:r]))
+        norm_b = math.sqrt(_dot(work[:r], work[:r]))
         spec *= np.fft.rfft(work)
     conv = np.fft.irfft(spec, m, out=work)[r - 1 : size]
     del spec
@@ -327,7 +332,7 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     out = np.zeros(n)
     quality = np.zeros(n, dtype=np.float32)  # entry / its error bound
     work = np.empty(m)  # every tilt's FFT buffer, a prefix for later blocks
-    floor = _FFT_ERROR_BOUND * _EPS * math.log2(m) * float(v @ v) * (1.0 / _REL_TARGET)
+    floor = _FFT_ERROR_BOUND * _EPS * math.log2(m) * _dot(v, v) * (1.0 / _REL_TARGET)
     t = _first_short_lag(v, floor)
     if (n - t) ** 2 <= _tilt_cost(n - t):
         t = 0  # the lags from d0 on are summed directly after the plain tilt
@@ -518,14 +523,3 @@ def mgf_via_conditioning(t: float, tol: float = 1e-10) -> MGFValue:
     value, error = _window_quad(integrand, extent, tol)
     return MGFValue(t, value, error)
 
-
-def mgf_difference_closed_form(t: float) -> float:
-    """MGF of the self-difference of the normal-product law: 1/(1 - t^2).
-
-    This equals M(t) M(-t) for the product-law MGF M and is the Laplace(0,1)
-    MGF; defined for |t| < 1 only.
-    """
-    t = float(t)
-    if abs(t) >= 1.0:
-        raise DomainError("closed form 1/(1-t^2) requires |t| < 1")
-    return 1.0 / (1.0 - t * t)

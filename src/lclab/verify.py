@@ -1,14 +1,16 @@
 """The end-to-end verification pipeline behind ``verify-theorem``.
 
 Steps run in the order of the underlying argument so a failure localizes
-which numeric counterpart broke: (1) the product density equals
-K0(|x|)/pi against the quadrature oracle, (2) both MGF routes match
-1/sqrt(1-t^2), (3) the difference MGF factorizes to 1/(1-t^2) by both
-routes, (4) the FFT self-difference matches the Laplace density in
+which numeric counterpart broke: (1) the product density K0(|x|)/pi over
+the quadrature oracle equals 1, (2) both MGF routes match the closed form
+(1 - t^2)^(-1/2), (3) M(t) M(-t) matches the Laplace MGF 1/(1 - t^2) by
+both routes, (4) the FFT self-difference matches the Laplace density in
 sup-node norm, (5) the shape verdicts (product fails log-concavity, its
 self-difference and Laplace hold, K0 is log-convex and K0'/K0 increases,
 on the default intervals and over the double range), and optionally (6) a
-KS run over the committed seed table.
+KS run over the committed seed table.  Steps 1-4 are scored by one rule
+(``_identity_step``): each route's largest |route - exact| over the step's
+probes, within the step's tolerance.
 """
 
 from __future__ import annotations
@@ -66,10 +68,7 @@ class VerificationReport:
 
     @property
     def first_failure(self) -> str | None:
-        for s in self.steps:
-            if not s.passed:
-                return s.name
-        return None
+        return next((s.name for s in self.steps if not s.passed), None)
 
     def as_dict(self) -> dict:
         return {
@@ -77,17 +76,6 @@ class VerificationReport:
             "parameters": dict(self.parameters),
             "steps": [s.as_dict() for s in self.steps],
         }
-
-
-def _density_identity_step() -> StepResult:
-    oracle = [specfun.bessel_k0_quadrature_oracle(x, 1e-14).value for x in _DENSITY_PROBES]
-    density = dist.normal_product().pdf(np.array(_DENSITY_PROBES))
-    worst = float(np.max(np.abs(density / (np.array(oracle) / math.pi) - 1.0)))
-    return StepResult(
-        "density-identity",
-        worst <= 1e-12,
-        {"max_rel_err": worst, "tol": 1e-12, "n_probes": float(len(_DENSITY_PROBES))},
-    )
 
 
 def _mgf_table(tol_mgf: float) -> dict[float, float]:
@@ -106,48 +94,14 @@ def _conditioning_table(tol_mgf: float) -> dict[float, float]:
     return {t: transform.mgf_via_conditioning(t, tol_mgf).value for t in sorted(ts)}
 
 
-def _closed_form_step(name: str, ts, exact, routes: dict, tol: float) -> StepResult:
-    """Each route's largest |route(t) - exact| over ``ts``; passes iff all are <= tol.
+def _identity_step(name: str, exact, routes: dict, tol: float, **extra: float) -> StepResult:
+    """Each route's largest |route - exact| over the step's probes; passes iff all are <= tol.
 
-    Every route raises on a non-finite value, so no NaN reaches ``max``.
+    A NaN score fails the step, as ``np.max`` propagates it.
     """
-    metrics = {k: max(abs(route(t) - c) for t, c in zip(ts, exact)) for k, route in routes.items()}
+    metrics = {k: float(np.max(np.abs(route - exact))) for k, route in routes.items()}
     passed = all(err <= tol for err in metrics.values())
-    return StepResult(name, passed, {**metrics, "tol": tol})
-
-
-def _mgf_identity_step(
-    tol_mgf: float, mgf: dict[float, float], conditioning: dict[float, float]
-) -> StepResult:
-    exact = [1.0 / math.sqrt(1.0 - t * t) for t in _MGF_T]
-    routes = {
-        "max_abs_err_density_route": mgf.__getitem__,
-        "max_abs_err_conditioning_route": lambda t: conditioning[abs(t)],
-    }
-    return _closed_form_step("mgf-identity", _MGF_T, exact, routes, tol_mgf)
-
-
-def _mgf_factorization_step(
-    mgf: dict[float, float], conditioning: dict[float, float]
-) -> StepResult:
-    """M(t) M(-t) against 1/(1 - t^2), by the density and the conditioning route."""
-    exact = [transform.mgf_difference_closed_form(t) for t in _FACTORIZATION_T]
-    routes = {
-        "max_abs_err": lambda t: mgf[t] * mgf[-t],
-        "max_abs_err_conditioning_route": lambda t: conditioning[abs(t)] * conditioning[abs(t)],
-    }
-    return _closed_form_step(
-        "mgf-factorization", _FACTORIZATION_T, exact, routes, _FACTORIZATION_TOL
-    )
-
-
-def _laplace_identification_step(diff: dist.GridDensity) -> StepResult:
-    sup = float(np.max(np.abs(diff.values - dist.laplace().pdf(diff.nodes))))
-    return StepResult(
-        "laplace-identification",
-        sup <= _SUP_NODE_TOL,
-        {"sup_node_distance": sup, "tol": _SUP_NODE_TOL},
-    )
+    return StepResult(name, passed, {**metrics, "tol": tol, **extra})
 
 
 def _shape_step(
@@ -232,11 +186,35 @@ def run_verification(
     mgf = _mgf_table(tol_mgf)
     conditioning = _conditioning_table(tol_mgf)
 
+    x = np.array(_DENSITY_PROBES)
+    oracle = np.array([specfun.bessel_k0_quadrature_oracle(v, 1e-14).value for v in x])
+    t, u = np.array(_MGF_T), np.array(_FACTORIZATION_T)
+
+    def at(table, ts):
+        return np.array([table[v] for v in ts])
+
+    mgf_routes = {
+        "max_abs_err_density_route": at(mgf, t),
+        "max_abs_err_conditioning_route": at(conditioning, abs(t)),
+    }
+    # M(t) M(-t) by each route; the conditioning route is even in t
+    factor_routes = {
+        "max_abs_err": at(mgf, u) * at(mgf, -u),
+        "max_abs_err_conditioning_route": at(conditioning, abs(u)) ** 2,
+    }
     steps = [
-        _density_identity_step(),
-        _mgf_identity_step(tol_mgf, mgf, conditioning),
-        _mgf_factorization_step(mgf, conditioning),
-        _laplace_identification_step(diff),
+        _identity_step(
+            "density-identity", 1.0,
+            {"max_rel_err": dist.normal_product().pdf(x) / (oracle / math.pi)},
+            1e-12, n_probes=float(x.size),
+        ),
+        # X1 X2 has the MGF (1 - t^2)^(-1/2), so X - X' has the Laplace MGF 1/(1 - t^2)
+        _identity_step("mgf-identity", 1 / np.sqrt(1 - t * t), mgf_routes, tol_mgf),
+        _identity_step("mgf-factorization", 1 / (1 - u * u), factor_routes, _FACTORIZATION_TOL),
+        _identity_step(
+            "laplace-identification", dist.laplace().pdf(diff.nodes),
+            {"sup_node_distance": diff.values}, _SUP_NODE_TOL,
+        ),
         _shape_step(product_grid, diff, laplace_grid, tol_shape),
     ]
     if with_mc:

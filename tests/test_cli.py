@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lclab import dist, mc
+from lclab import cli, dist, mc
 from lclab.cli import main
 
 
@@ -62,6 +63,31 @@ def test_selfdiff_from_file_and_shape_pipe(tmp_path, capsys):
     verdict = json.loads(out)
     assert verdict["outcome"] == "holds"
     assert verdict["property"] == "log-concave"
+
+
+def test_selfdiff_reads_stdin(tmp_path, monkeypatch, capsys):
+    grid_path = tmp_path / "prod.csv"
+    assert run_cli(
+        capsys, "density", "--law", "normal-product", "--cells", "256", "--out", str(grid_path)
+    )[0] == 0
+    code, from_file, _ = run_cli(capsys, "selfdiff", "--in", str(grid_path))
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(grid_path.read_text()))
+    assert run_cli(capsys, "selfdiff", "--in", "-") == (0, from_file, "")
+
+
+def test_write_text_failing_mid_write_leaves_target_and_no_part_file(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "new\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        cli._write_text(str(target), chunks())
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_selfdiff_of_massless_grid_exits_1(tmp_path, capsys):

@@ -166,6 +166,19 @@ def test_discretize_asymmetric_law_evaluated_on_every_node():
     assert not np.array_equal(g.values, g.values[::-1])
 
 
+def test_discretize_ignores_a_singular_point_outside_the_window():
+    far = dist.AnalyticDensity(
+        "far-laplace",
+        lambda x: 0.5 * np.exp(-np.abs(x - 20.0)),
+        lambda x: -np.abs(x - 20.0) - math.log(2.0),
+        singular_points=(20.0,),
+    )
+    g = dist.discretize(far, 8.0, 256)
+    raw = far.pdf(g.nodes)
+    assert np.array_equal(g.values, raw / (g.step * float(np.sum(raw))))
+    assert g.singular_points == ()
+
+
 def test_discretize_validates_arguments():
     with pytest.raises(ValueError):
         dist.discretize(dist.laplace(), 8.0, 63)
@@ -221,6 +234,12 @@ def test_csv_round_trip(product_selfdiff):
     assert back.half_width == pytest.approx(product_selfdiff.half_width, rel=1e-15)
     assert back.trusted_half_width == product_selfdiff.trusted_half_width
     assert back.singular_points == product_selfdiff.singular_points
+    # blank and whitespace-only lines are skipped wherever they fall
+    spaced = dist.GridDensity.from_csv(text.replace("\n", "\n \n\n"))
+    assert np.array_equal(spaced.values, back.values)
+    assert (spaced.half_width, spaced.trusted_half_width, spaced.singular_points) == (
+        back.half_width, back.trusted_half_width, back.singular_points
+    )
 
 
 @st.composite

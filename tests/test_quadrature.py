@@ -20,6 +20,12 @@ def test_panel_error_estimate_bounds_true_error():
     assert abs(value - (1.0 - math.cos(1.0))) <= max(err, 1e-15)
 
 
+@pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: x[:-1], lambda x: x[:, None]])
+def test_panel_rejects_an_integrand_of_the_wrong_shape(f):
+    with pytest.raises(ValueError, match="matching its input shape"):
+        kronrod_panel(f, 0.0, 1.0)
+
+
 def test_adaptive_sin():
     res = adaptive_quad(np.sin, 0.0, math.pi, tol_rel=1e-13)
     assert res.value == pytest.approx(2.0, rel=1e-13)

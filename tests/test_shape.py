@@ -323,11 +323,19 @@ def test_interval_check_argument_validation():
         shape.check_log_convexity_interval(k0_values, 0.1, 2.0, 2, 1e-10)
     with pytest.raises(ValueError):
         shape.check_log_convexity_interval(k0_values, 0.1, 2.0, 64, 0.0)
+    with pytest.raises(ValueError, match="vectorised"):
+        shape.check_log_convexity_interval(lambda x: 1.0, 0.1, 2.0, 64, 1e-10)
 
 
 def test_interval_check_rejects_nonpositive_function():
     with pytest.raises(ValueError):
         shape.check_log_convexity_interval(lambda x: x - 1.0, 0.5, 2.0, 64, 1e-10)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_grid_check_rejects_a_nonpositive_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        shape.check_log_concavity_grid(dist.discretize(dist.laplace(), 4.0, 64), tol)
 
 
 def test_grid_check_needs_three_usable_nodes():

@@ -426,7 +426,9 @@ def test_mgf_at_zero_is_one_for_every_method():
         1.0, abs=1e-12
     )
     assert transform.mgf_via_conditioning(0.0, 1e-12).value == pytest.approx(1.0, abs=1e-12)
-    assert transform.mgf_difference_closed_form(0.0) == 1.0
+    assert transform.mgf_via_density(dist.laplace(), 0.0, 1e-12).value == pytest.approx(
+        1.0, abs=1e-12
+    )
 
 
 @pytest.mark.parametrize("t", [0.25, -0.25, 0.5, -0.5, 0.9, -0.9])
@@ -498,12 +500,15 @@ def test_mgf_error_estimate_stays_finite_where_log_pdf_is_minus_inf():
 
 
 def test_mgf_difference_closed_form_values():
-    assert transform.mgf_difference_closed_form(0.5) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert transform.mgf_difference_closed_form(0.9) == pytest.approx(
-        1.0 / 0.19, rel=1e-14
+    # the difference law is Laplace(0,1), whose MGF 1/(1 - t^2) is 4/3 at 0.5
+    # and 1/0.19 at 0.9
+    laplace = dist.laplace()
+    assert transform.mgf_via_density(laplace, 0.5, 1e-12).value == pytest.approx(
+        4.0 / 3.0, abs=1e-11
     )
-    with pytest.raises(DomainError):
-        transform.mgf_difference_closed_form(1.0)
+    assert transform.mgf_via_density(laplace, 0.9, 1e-10).value == pytest.approx(
+        1.0 / 0.19, abs=1e-9
+    )
 
 
 @pytest.mark.parametrize("t", [0.1, -0.1, 0.3, -0.3, 0.5, -0.5, 0.8, -0.8])
@@ -513,14 +518,14 @@ def test_difference_mgf_factorization(t):
         transform.mgf_via_density(product, t, 1e-9).value
         * transform.mgf_via_density(product, -t, 1e-9).value
     )
-    assert numeric == pytest.approx(transform.mgf_difference_closed_form(t), abs=1e-7)
+    assert numeric == pytest.approx(1.0 / (1.0 - t * t), abs=1e-7)
 
 
 def test_laplace_mgf_equals_difference_mgf():
     # the self-difference MGF is the Laplace MGF: same 1/(1-t^2)
     for t in (0.2, 0.7):
         lap = transform.mgf_via_density(dist.laplace(), t, 1e-11).value
-        assert lap == pytest.approx(transform.mgf_difference_closed_form(t), abs=1e-9)
+        assert lap == pytest.approx(1.0 / (1.0 - t * t), abs=1e-9)
 
 
 def test_normal_mgf_sanity():

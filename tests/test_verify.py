@@ -60,7 +60,7 @@ def test_mgf_steps_equal_direct_uncached_evaluation():
     worst_product = 0.0
     worst_conditioning_product = 0.0
     for t in verify._FACTORIZATION_T:
-        closed = transform.mgf_difference_closed_form(t)
+        closed = 1.0 / (1.0 - t * t)
         worst_product = max(worst_product, abs(m(t) * m(-t) - closed))
         worst_conditioning_product = max(worst_conditioning_product, abs(c(t) * c(-t) - closed))
     expected = [
@@ -87,15 +87,28 @@ def test_mgf_steps_equal_direct_uncached_evaluation():
     assert report["steps"][1:3] == expected
 
 
-def test_factorization_step_needs_both_routes():
-    tol = 1e-8
-    mgf = verify._mgf_table(tol)
-    conditioning = verify._conditioning_table(tol)
-    assert verify._mgf_factorization_step(mgf, conditioning).passed
+def test_factorization_step_needs_both_routes(monkeypatch):
+    def factorization():
+        (step,) = [s for s in verify.run_verification().steps if s.name == "mgf-factorization"]
+        return step
+
+    assert factorization().passed
     # M(t)^2 is off by about 2e-6 when M(t) is off by 1e-6
-    off = verify._mgf_factorization_step(mgf, {t: v + 1e-6 for t, v in conditioning.items()})
+    table = verify._conditioning_table
+    monkeypatch.setattr(
+        verify, "_conditioning_table", lambda tol: {t: v + 1e-6 for t, v in table(tol).items()}
+    )
+    off = factorization()
     assert not off.passed
+    assert off.metrics["max_abs_err"] <= verify._FACTORIZATION_TOL
     assert off.metrics["max_abs_err_conditioning_route"] > verify._FACTORIZATION_TOL
+
+
+def test_first_failure_names_the_first_failing_step_or_none():
+    steps = [verify.StepResult(name, True) for name in ("a", "b", "c")]
+    assert verify.VerificationReport(tuple(steps), {}).first_failure is None
+    steps[1:] = [verify.StepResult("b", False), verify.StepResult("c", False)]
+    assert verify.VerificationReport(tuple(steps), {}).first_failure == "b"
 
 
 def test_monte_carlo_step_at_small_n():
