@@ -2,22 +2,27 @@
 
 Each batch draws from its own ``np.random.Generator`` over an SFC64 bit
 generator seeded by ``SeedSequence([seed mod 2^64, tag])``, where the tag
-is the generator's domain, and takes its standard normals from numpy's
-ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5, 2000).  Value j of a
-generator consuming w normals per value owns normals ``w*j .. w*j + w - 1``
-of that stream, so the values do not depend on the block size and a
-shorter batch is a prefix of a longer one with the same seed.
+is the generator's domain, and turns its uniforms u = k 2^-53 in [0, 1)
+into Box-Muller pairs (Box & Muller, Ann. Math. Stat. 29, 1958): a pair
+(u, u') is the normals r cos a and r sin a with r^2 = -2 ln(1 - u) and
+a = 2 pi u'.  1 - u is exact and at least 2^-53, so r is at most
+sqrt(106 ln 2) = 8.6 sigma.  A value is formed from its pairs' radii and
+angles, not from the normals themselves, by one ``np.log`` per pair and
+one ``np.tan`` (see ``_pair_values``).  Value j of a generator consuming
+w uniforms per value owns uniforms ``w*j .. w*j + w - 1`` of that stream,
+so the values do not depend on the block size and a shorter batch is a
+prefix of a longer one with the same seed.
 
-Generation is blocked and in place: ``standard_normal(out=)`` fills a
-value-major ``(m, w)`` block of at most ``_BLOCK`` normals and the product
-(or difference of products) is formed into the output, so a batch needs
-its output plus O(block) memory.
+Generation is blocked and in place: ``random(out=)`` fills a value-major
+``(m, w)`` block of uniforms, and the log and tan run over two contiguous
+scratch columns of m entries; block and columns share one ``_BLOCK``-double
+buffer, so a batch needs its output plus O(block) memory.
 
 ``ks_statistic`` sorts the batch in place and walks it in blocks of the
 same size, so it needs O(block) beyond the batch.  ``ks_over_seeds`` runs
 the seed table of both generators, one job per (generator, seed), on one
 pool of min(usable CPUs, jobs) threads (the process's CPU affinity, else
-the CPU count); there is no knob.  numpy's normal generation, ufuncs and
+the CPU count); there is no knob.  numpy's uniform generation, ufuncs and
 sort release the GIL, so the time falls with the cores, and the reports
 come back in seed order, bit-identical to one job after another.
 """
@@ -50,7 +55,7 @@ class Generator(enum.Enum):
 
 
 #: Per generator: its stream-domain tag, so different generators with the
-#: same seed draw from different streams, and the normals per value
+#: same seed draw from different streams, and the uniforms per value
 _STREAMS = {
     Generator.NORMAL_PRODUCT: (0x4E50, 2),
     Generator.PRODUCT_SELF_DIFFERENCE: (0x505344, 4),
@@ -61,13 +66,14 @@ _STREAMS = {
 class SampleBatch:
     """Reproducible draws: (generator, seed, n) determines values bit-exactly.
 
-    Bit-exact for numpy's SFC64 stream and ``standard_normal`` on any CPU:
-    the ziggurat is scalar C, not a SIMD-dispatched loop, and a product or
-    difference rounds the same in any loop (its rare wedge and tail steps
-    call the C library's ``exp`` and ``log1p``, so another libm could move
-    a tail draw).  NEP 19 fixes the SFC64 bits but lets a numpy feature
-    release change the algorithm behind a ``Generator`` method, so a new
-    numpy may move the draws; their law does not depend on either.
+    Bit-exact for one numpy build and SIMD dispatch: the SFC64 uniforms
+    are fixed, and the arithmetic rounds the same in any loop, but numpy
+    runs ``log`` and ``tan`` through loops chosen by the CPU features it
+    dispatches to (AVX-512 ones where it dispatches X86_V4, others
+    elsewhere), which may differ in the last bit.  So another CPU, numpy
+    build or ``NPY_DISABLE_CPU_FEATURES`` setting may move a value by an
+    ulp or so, and the golden statistics with it; the law of the draws
+    depends on none of them.
     """
 
     generator: Generator
@@ -98,17 +104,60 @@ class KSReport:
         }
 
 
-#: Normals per generation block: the 512 KiB block buffer fits in a
-#: 2 MiB L2 cache
+#: Doubles per generation block: one 512 KiB buffer, which fits a 2 MiB L2
+#: cache, holds a block's uniforms and its two scratch columns
 _BLOCK = 1 << 16
+
+
+def _pair_values(u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the values of the uniforms ``u`` (one row per value) into out.
+
+    A Box-Muller pair (u, u') is r (cos a, sin a) with r^2 = -2 ln(1 - u)
+    and a = 2 pi u'.  ``normal-product`` (rows u, u'):
+    z0 z1 = r^2 t / (1 + t^2) with t = tan a.  ``product-self-difference``
+    (rows u0 u1 u2 u3) pairs (z0, z2) from (u0, u1) and (z1, z3) from
+    (u2, u3): z0 z1 - z2 z3 = r1 r2 cos(a + b)
+    = 2 sqrt(ln(1 - u0) ln(1 - u2)) (1 - t^2) / (1 + t^2) with
+    t = tan(pi (u1 + u3)).  ``scratch`` holds two contiguous columns of
+    at least len(out) entries each; log and tan run over them, as on a
+    strided column they take a slower loop.
+    """
+    m = out.size
+    x, t = scratch[0, :m], scratch[1, :m]
+    np.subtract(1.0, u[:, 0], out=x)  # exact, in (0, 1]
+    np.log(x, out=x)
+    if u.shape[1] == 2:
+        # out = -2 ln(1 - u) t / (1 + t^2)
+        np.multiply(u[:, 1], 2.0 * math.pi, out=t)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=out)
+        np.add(out, 1.0, out=out)
+        np.divide(t, out, out=t)
+        np.multiply(x, -2.0, out=x)
+        np.multiply(x, t, out=out)
+        return
+    # x = r1 r2, then out = x (1 - t^2) / (1 + t^2)
+    np.subtract(1.0, u[:, 2], out=t)
+    np.log(t, out=t)
+    np.multiply(x, t, out=x)
+    np.sqrt(x, out=x)
+    np.multiply(x, 2.0, out=x)
+    np.add(u[:, 1], u[:, 3], out=t)
+    np.multiply(t, math.pi, out=t)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=out)
+    np.subtract(1.0, out, out=t)
+    np.add(out, 1.0, out=out)
+    np.divide(t, out, out=t)
+    np.multiply(x, t, out=out)
 
 
 def sample(generator: Generator, seed: int, n: int) -> SampleBatch:
     """Draw n values.
 
-    ``normal-product`` multiplies two independent standard normals per
-    value; ``product-self-difference`` draws four and returns
-    ``z0 z1 - z2 z3``.
+    ``normal-product`` is the product of the two standard normals of one
+    Box-Muller pair; ``product-self-difference`` is ``z0 z1 - z2 z3`` of
+    two pairs (see ``_pair_values``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -117,16 +166,14 @@ def sample(generator: Generator, seed: int, n: int) -> SampleBatch:
     seed_seq = np.random.SeedSequence([int(seed) % (1 << 64), tag])
     rng = np.random.Generator(np.random.SFC64(seed_seq))
     values = np.empty(n)
-    per_block = min(_BLOCK // w, n)
-    normals = np.empty((per_block, w))
+    per_block = min(_BLOCK // (w + 2), n)
+    buffer = np.empty((w + 2) * per_block)
+    uniforms = buffer[: w * per_block].reshape(per_block, w)
+    scratch = buffer[w * per_block :].reshape(2, per_block)
     for a in range(0, n, per_block):
-        z = normals[: min(per_block, n - a)]
-        rng.standard_normal(out=z)
-        dst = values[a : a + z.shape[0]]
-        np.multiply(z[:, 0], z[:, 1], out=dst)
-        if w == 4:
-            np.multiply(z[:, 2], z[:, 3], out=z[:, 2])
-            np.subtract(dst, z[:, 2], out=dst)
+        u = uniforms[: min(per_block, n - a)]
+        rng.random(out=u)
+        _pair_values(u, values[a : a + u.shape[0]], scratch)
     return SampleBatch(generator, int(seed), int(n), values)
 
 
@@ -155,6 +202,8 @@ def ks_statistic(batch: SampleBatch, cdf: Callable, alpha: float = KS_ALPHA) -> 
     n = x.size
     if n == 0:
         raise ValueError("empty sample batch")
+    # before the sort, so a bad alpha leaves the batch as it was
+    threshold = kolmogorov_threshold(alpha)
     x.sort()
     levels = np.empty(min(n, _BLOCK) + 1)
     offsets = np.arange(levels.size, dtype=float)
@@ -182,7 +231,6 @@ def ks_statistic(batch: SampleBatch, cdf: Callable, alpha: float = KS_ALPHA) -> 
         raise ValueError("reference CDF leaves [0, 1]")
     d = max(d_plus, d_minus)
     scaled = math.sqrt(n) * d
-    threshold = kolmogorov_threshold(alpha)
     return KSReport(n, d, scaled, alpha, threshold, scaled <= threshold)
 
 
@@ -204,7 +252,8 @@ def ks_over_seeds(
     any job is raised here, the first in job order (self-difference seeds,
     then product seeds).
     """
-    # self-difference jobs first: they draw twice the normals
+    kolmogorov_threshold(alpha)  # a bad alpha fails before any job samples
+    # self-difference jobs first: they draw twice the uniforms
     order = (Generator.PRODUCT_SELF_DIFFERENCE, Generator.NORMAL_PRODUCT)
     jobs = [(g, s) for g in order for s in seeds]
     workers = max(1, min(_usable_cpus(), len(jobs)))

@@ -7,14 +7,24 @@ file it names as output.  An output longer than ``INLINE_BYTES`` is
 stored as the sha256 of its bytes, its line count and its first
 ``HEAD_LINES`` lines; a shorter one is stored whole.
 
-The corpus also stores the environment it was made in (``environment()``):
-``tests/test_golden.py`` compares bytes where that matches the running one,
-and text exactly with numbers to within a fixed ulp count elsewhere.
+The corpus also stores the environment it was made in (``environment()``),
+and there is one corpus file per environment: ``corpus.json``, the default,
+and ``corpus-<digest of the environment>.json`` for each other one.
+``tests/test_golden.py`` compares bytes against the corpus of the running
+environment, and elsewhere text exactly with numbers to within a fixed ulp
+count against the committed corpus the outputs come nearest.
 
-Regenerate after a change that means to alter an output, and declare the
-diff of ``corpus.json`` as that change::
+Regenerate after a change that means to alter an output, once in the
+environment of each committed corpus, and declare the diff of the corpus
+files as that change.  On an x86-64 host whose numpy dispatches to X86_V4
+(AVX-512) those are the plain run and the one with those loops disabled::
 
     PYTHONPATH=src python tests/golden/regen.py
+    NPY_DISABLE_CPU_FEATURES=X86_V4 PYTHONPATH=src python tests/golden/regen.py
+
+A run writes the corpus of its own environment: ``corpus.json`` if that is
+the default's (or there is none), else its ``corpus-<digest>.json``.  To
+make another environment the default, delete ``corpus.json`` first.
 """
 
 from __future__ import annotations
@@ -34,7 +44,10 @@ import scipy
 
 from lclab import cli
 
-CORPUS = Path(__file__).with_name("corpus.json")
+GOLDEN = Path(__file__).parent
+#: The default corpus: outputs of an environment without a corpus of its
+#: own are compared with it unless another comes nearer
+CORPUS = GOLDEN / "corpus.json"
 INLINE_BYTES = 4096
 HEAD_LINES = 8
 
@@ -228,10 +241,26 @@ def run_cases() -> dict:
     return results
 
 
+def corpus_path(env: dict) -> Path:
+    """The corpus file of an environment (see the module docstring)."""
+    if not CORPUS.exists() or json.loads(CORPUS.read_text())["environment"] == env:
+        return CORPUS
+    digest = hashlib.sha256(json.dumps(env, sort_keys=True).encode()).hexdigest()
+    return GOLDEN / f"corpus-{digest[:12]}.json"
+
+
+def corpora() -> dict[Path, dict]:
+    """Every committed corpus by its file, the default first."""
+    paths = [CORPUS, *sorted(GOLDEN.glob("corpus-*.json"))]
+    return {path: json.loads(path.read_text()) for path in paths}
+
+
 def main() -> None:
-    corpus = {"environment": environment(), "cases": run_cases()}
-    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
-    print(f"wrote {len(corpus['cases'])} cases to {CORPUS}")
+    env = environment()
+    path = corpus_path(env)
+    corpus = {"environment": env, "cases": run_cases()}
+    path.write_text(json.dumps(corpus, indent=1) + "\n")
+    print(f"wrote {len(corpus['cases'])} cases to {path}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,19 +13,19 @@ from lclab.mc import Generator
 from lclab.quadrature import adaptive_quad
 
 # Scaled KS statistics of the committed seed table at n = 10^6 against the
-# Laplace CDF, frozen from the first oracle run of the SFC64 sampler
-# (numpy's ziggurat standard_normal on a seeded SFC64 stream).
+# Laplace CDF, frozen from the first oracle run of the Box-Muller sampler
+# (numpy's log and tan of the uniforms of a seeded SFC64 stream).
 GOLDEN_SCALED = {
-    101: 0.841171878464,
-    102: 0.876827192994,
-    103: 0.807355982670,
-    104: 0.519344939605,
-    105: 0.771740508629,
-    106: 0.736714630933,
-    107: 1.092001014866,
-    108: 0.784133514724,
-    109: 0.982804541709,
-    110: 1.006260107349,
+    101: 0.683664680483,
+    102: 0.941367393100,
+    103: 0.988950803928,
+    104: 0.771976324782,
+    105: 1.020336181444,
+    106: 0.604102895870,
+    107: 0.770108054684,
+    108: 0.815487857486,
+    109: 1.129025593645,
+    110: 1.115124431254,
 }
 
 # sup |F_product - F_laplace| = 0.0985 at x ~ 0.463 (quadrature), so the
@@ -58,8 +59,8 @@ def test_generators_are_domain_separated():
     st.integers(min_value=0, max_value=2**64 - 1),
 )
 def test_shorter_sample_is_a_prefix_of_a_longer_one(generator, n, m, seed):
-    # value j owns normals w*j .. w*j + w - 1, so the values do not depend
-    # on n; up to 40000 values cross the 2^16-normal block boundaries
+    # value j owns uniforms w*j .. w*j + w - 1, so the values do not depend
+    # on n; up to 40000 values cross the generation block boundaries
     n, m = max(n, m), min(n, m)
     assert np.array_equal(mc.sample(generator, seed, n).values[:m], mc.sample(generator, seed, m).values)
 
@@ -100,6 +101,24 @@ def test_kolmogorov_thresholds():
     assert mc.ks_statistic(batch, dist.laplace_cdf, 0.01).threshold == pytest.approx(1.628, abs=5e-4)
     with pytest.raises(ValueError):
         mc.ks_statistic(batch, dist.laplace_cdf, 0.0)
+
+
+def test_bad_alpha_leaves_the_batch_unsorted():
+    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 1, 100)
+    drawn = batch.values.copy()
+    for alpha in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            mc.ks_statistic(batch, dist.laplace_cdf, alpha)
+        assert np.array_equal(batch.values, drawn)
+
+
+def test_ks_over_seeds_checks_alpha_before_sampling(monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("sampled before checking alpha")
+
+    monkeypatch.setattr(mc, "sample", no_sample)
+    with pytest.raises(ValueError, match="alpha"):
+        mc.ks_over_seeds(mc.GOLDEN_SEEDS, 1000, dist.laplace_cdf, 0.0)
 
 
 def test_ks_on_exact_quantiles_gives_half_over_n():
@@ -189,20 +208,62 @@ def test_ks_report_dict_keys():
 
 
 def _reference(generator, seed, n):
-    # the stream definition as one full-array draw: value j owns normals
-    # w*j .. w*j + w - 1 of the seeded SFC64 generator; returns the (n, w)
-    # normals and the values made of them
+    # the stream definition as one full-array expression: value j owns
+    # uniforms w*j .. w*j + w - 1 of the seeded SFC64 generator; returns the
+    # (n, w) uniforms and the values made of them
     tag, w = mc._STREAMS[generator]
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed % 2**64, tag])))
-    z = rng.standard_normal(w * n).reshape(n, w)
+    u = rng.random(w * n).reshape(n, w)
+    if w == 2:
+        t = np.tan(u[:, 1] * (2.0 * math.pi))
+        return u, (np.log(1.0 - u[:, 0]) * -2.0) * (t / (t * t + 1.0))
+    t = np.tan((u[:, 1] + u[:, 3]) * math.pi)
+    radii = np.sqrt(np.log(1.0 - u[:, 0]) * np.log(1.0 - u[:, 2])) * 2.0
+    return u, radii * ((1.0 - t * t) / (t * t + 1.0))
+
+
+def _pair_normals(u):
+    # the explicit Box-Muller normals of the uniform rows u: the pair (u, u')
+    # gives r cos a and r sin a with r^2 = -2 ln(1 - u) and a = 2 pi u'.
+    # Columns z0, z1 (normal-product) or z0, z1, z2, z3, where (z0, z2) come
+    # from (u0, u1) and (z1, z3) from (u2, u3)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
+    a = u[:, 1::2] * (2.0 * math.pi)
+    cos, sin = r * np.cos(a), r * np.sin(a)
+    if u.shape[1] == 2:
+        return np.column_stack([cos[:, 0], sin[:, 0]])
+    return np.column_stack([cos[:, 0], cos[:, 1], sin[:, 0], sin[:, 1]])
+
+
+def _product_of_pair_normals(u):
+    z = _pair_normals(u)
     values = z[:, 0] * z[:, 1]
-    if w == 4:
-        values = values - z[:, 2] * z[:, 3]
-    return z, values
+    return values if u.shape[1] == 2 else values - z[:, 2] * z[:, 3]
+
+
+def _product_bound(u):
+    # |sample - product of the pair normals| per value, derived (to first
+    # order in the unit roundoff ε = eps/2) with log, tan, sin and cos within
+    # 1 ulp (2ε relative), as numpy validates them, and the rest rounded once:
+    # - normal-product: both sides use the same angle a = fl(2π u'). r² t/(1 + t²)
+    #   is within 8ε relative of r² sin a cos a (log 2ε, tan 2ε through a map of
+    #   condition ≤ 1, t² + 1 2ε, divide ε, multiply ε); (r cos a)(r sin a) within
+    #   11ε (r 2ε and each of cos, sin 2ε plus a multiply, then the product).
+    #   With |sin a cos a| ≤ 1/2 that is (4 + 5.5)ε r² < 5 eps r².
+    # - product-self-difference: 2 fl(π fl(u1 + u3)) is within 12π ε of
+    #   fl(2π u1) + fl(2π u3), which moves cos(a + b) by as much: the larger term.
+    #   The rest: r1 r2 = 2 sqrt(ln ln) within 3.5ε, (1 - t²)/(1 + t²) within 7ε
+    #   absolute, the last multiply ε, and the reference z0 z1 - z2 z3 within 12ε
+    #   r1 r2 (|cos a cos b| + |sin a sin b| ≤ 1). In all (12π + 23.5)ε < 31 eps r1 r2.
+    eps = np.finfo(float).eps
+    r2 = -2.0 * np.log(1.0 - u[:, 0::2])
+    if u.shape[1] == 2:
+        return 5 * eps * r2[:, 0]
+    return 31 * eps * np.sqrt(r2[:, 0] * r2[:, 1])
 
 
 def _block_sizes(generator):
-    b = mc._BLOCK // mc._STREAMS[generator][1]
+    b = mc._BLOCK // (mc._STREAMS[generator][1] + 2)
     return (1, b - 1, b, b + 1, 3 * b + 7)
 
 
@@ -217,7 +278,7 @@ def test_blocked_sampler_matches_reference_at_chunk_offsets(generator, monkeypat
     # smaller blocks start at other value offsets, down to one value a block
     n = 1000
     expected = _reference(generator, 7, n)[1]
-    for block in (4, 12, 2**10):
+    for block in (6, 12, 2**10):
         monkeypatch.setattr(mc, "_BLOCK", block)
         assert np.array_equal(mc.sample(generator, 7, n).values, expected)
 
@@ -226,9 +287,9 @@ def test_blocked_sampler_matches_reference_at_chunk_offsets(generator, monkeypat
 @pytest.mark.parametrize("seed", mc.GOLDEN_SEEDS[:2])
 def test_pair_normals_are_independent_standard_normals(generator, seed):
     # the sampler's law rests on this, not on the Laplace identity: each
-    # normal slot of a value passes KS against the normal CDF, and no two
-    # slots correlate beyond 4 sigma
-    z, _ = _reference(generator, seed, 10**6)
+    # normal slot of a value, r cos a or r sin a of its pair, passes KS against
+    # the normal CDF, and no two slots correlate beyond 4 sigma
+    z = _pair_normals(_reference(generator, seed, 10**6)[0])
     # before the KS tests, which sort each column in place
     off_diagonal = np.corrcoef(z.T)[np.triu_indices(z.shape[1], k=1)]
     assert np.all(np.abs(off_diagonal) <= 4.0 / math.sqrt(z.shape[0]))
@@ -241,9 +302,39 @@ def test_pair_normals_are_independent_standard_normals(generator, seed):
 @pytest.mark.parametrize("seed", mc.GOLDEN_SEEDS[:2])
 def test_sample_is_the_product_of_pair_normals(generator, seed):
     # at the golden seeds and n, value j is z0 z1 (normal-product) or
-    # z0 z1 - z2 z3 of the very normals the law test above checks
+    # z0 z1 - z2 z3 of the very normals the law test above checks, to within
+    # the round-off bound derived in _product_bound
     n = 10**6
-    assert np.array_equal(mc.sample(generator, seed, n).values, _reference(generator, seed, n)[1])
+    u, _ = _reference(generator, seed, n)
+    error = np.abs(mc.sample(generator, seed, n).values - _product_of_pair_normals(u))
+    assert np.all(error <= _product_bound(u))
+
+
+#: The largest uniform: 1 - u = 2^-53 caps r^2 at 106 ln 2 = 73.5, r at 8.6
+TOP = 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("generator", list(Generator))
+def test_kernel_at_the_uniform_ends_and_the_tan_poles(generator):
+    # u = 0 (r = 0), u = TOP (the radius cap) and angles u' at tan's poles
+    # (a = pi/2, 3pi/2, or a + b there for the self-difference) give finite
+    # values, raise no floating-point warning, and agree with the pair normals
+    ends, angles = (0.0, 0.5, TOP), (0.0, 0.125, 0.25, 0.5, 0.75, TOP)
+    if mc._STREAMS[generator][1] == 2:
+        u = np.array([(x, a) for x in ends for a in angles])
+    else:
+        u = np.array([(x, a, y, a) for x in ends for y in ends for a in angles])
+    out = np.empty(len(u))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        mc._pair_values(u, out, np.empty((2, len(u))))
+    assert np.all(np.isfinite(out))
+    assert np.all(out[u[:, 0] == 0.0] == 0.0)
+    assert np.all(np.abs(out - _product_of_pair_normals(u)) <= _product_bound(u))
+    # the cap itself: z0 z1 = r^2/2 = 53 ln 2 at a = pi/4, and
+    # z0 z1 - z2 z3 = r1 r2 = 106 ln 2 at a + b = 0
+    row, cap = ((TOP, 0.125), 53) if u.shape[1] == 2 else ((TOP, 0.0, TOP, 0.0), 106)
+    assert out[np.all(u == row, axis=1)].item() == pytest.approx(cap * math.log(2.0), rel=1e-15)
 
 
 def test_sample_memory_is_output_plus_block_buffers():
