@@ -65,22 +65,8 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _grid_json(grid: dist.GridDensity) -> str:
-    payload = {
-        "half_width": grid.half_width,
-        "n_cells": grid.n_cells,
-        "x": [float(x) for x in grid.nodes],
-        "density": [float(v) for v in grid.values],
-    }
-    if grid.trusted_half_width is not None:
-        payload["trusted_half_width"] = grid.trusted_half_width
-    if grid.singular_points:
-        payload["singular_points"] = list(grid.singular_points)
-    return _json_dumps(payload)
-
-
 def _emit_grid(grid: dist.GridDensity, out: str, fmt: str) -> None:
-    _write_text(out, grid.to_csv() if fmt == "csv" else _grid_json(grid))
+    _write_text(out, grid.to_csv() if fmt == "csv" else _json_dumps(grid.as_dict()))
 
 
 def _parse_t_list(text: str) -> list[float]:
@@ -141,6 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-theorem", help="run the full verification pipeline")
+    p.set_defaults(handler=_cmd_verify_theorem)
     p.add_argument("--half-width", type=_positive_float, default=verify.HALF_WIDTH)
     p.add_argument("--cells", type=_cell_count, default=verify.N_CELLS)
     p.add_argument("--tol-shape", type=_positive_float, default=verify.TOL_SHAPE)
@@ -150,6 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here ('-' = stdout)")
 
     p = sub.add_parser("density", help="write a discretized density as CSV")
+    p.set_defaults(handler=_cmd_density)
     p.add_argument("--law", choices=dist.builtin_density_names(), required=True)
     p.add_argument("--half-width", type=_positive_float, default=verify.HALF_WIDTH)
     p.add_argument("--cells", type=_cell_count, default=verify.N_CELLS)
@@ -157,6 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("selfdiff", help="self-difference of a grid or built-in law")
+    p.set_defaults(handler=_cmd_selfdiff)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--law", choices=dist.builtin_density_names())
     src.add_argument("--in", dest="infile", help="grid CSV path ('-' = stdin)")
@@ -166,12 +155,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("mgf", help="MGF values by every applicable route")
+    p.set_defaults(handler=_cmd_mgf)
     p.add_argument("--law", choices=dist.builtin_density_names(), default="normal-product")
     p.add_argument("--t", type=_parse_t_list, required=True, help="comma list, e.g. 0,0.5,0.9")
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("shape", help="log-concavity / log-convexity verdicts")
+    p.set_defaults(handler=_cmd_shape)
     p.add_argument(
         "--property",
         choices=("log-concave", "log-convex", "ratio-monotone"),
@@ -184,6 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("sample", help="seeded Monte Carlo draws, optional KS test")
+    p.set_defaults(handler=_cmd_sample)
     p.add_argument(
         "--generator",
         choices=[g.value for g in mc.Generator],
@@ -287,22 +279,12 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "verify-theorem": _cmd_verify_theorem,
-    "density": _cmd_density,
-    "selfdiff": _cmd_selfdiff,
-    "mgf": _cmd_mgf,
-    "shape": _cmd_shape,
-    "sample": _cmd_sample,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # every lclab error but NonConvergenceError is a ValueError; a MemoryError
     # is an --n whose arrays cannot be allocated
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (NonConvergenceError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE

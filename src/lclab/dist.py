@@ -133,6 +133,15 @@ def _check_half_width(half_width: float) -> None:
         raise ValueError("half_width is too large: the grid width 2 * half_width overflows")
 
 
+def _midpoints(half_width: float, step: float, count: int) -> np.ndarray:
+    """The first ``count`` cell midpoints -L + (i + 1/2) h.
+
+    Built in place, the same bits moved the grid-ladder benchmark's peak RSS
+    by -0.8 to +0.9 MB from seed to seed, through the allocator's layout.
+    """
+    return -half_width + (np.arange(count) + 0.5) * step
+
+
 @dataclass(frozen=True)
 class GridDensity:
     """A density sampled on a uniform midpoint grid of even size.
@@ -153,8 +162,9 @@ class GridDensity:
       input window the correlation is a pure tail-window product,
       qualitatively unlike the underlying law.
 
-    Shape checks skip nodes outside these regions; plain integrals (mass,
-    moments, CDF distances) use every node.
+    Shape checks skip nodes outside the trusted window and, only on a grid
+    with one, next to a singular point (``discretize``'s grids keep their
+    singular cells); plain integrals (mass, moments, CDF distances) use all.
     """
 
     half_width: float
@@ -190,12 +200,7 @@ class GridDensity:
 
     @property
     def nodes(self) -> np.ndarray:
-        """Cell midpoints -L + (i + 1/2) h, built in place in one array."""
-        x = np.arange(self.n_cells, dtype=float)
-        x += 0.5
-        x *= self.step
-        x += -self.half_width
-        return x
+        return _midpoints(self.half_width, self.step, self.n_cells)
 
     @property
     def mass(self) -> float:
@@ -221,6 +226,20 @@ class GridDensity:
                 "cannot be normalized: its mass or unit-mass values overflow"
             )
         return replace(self, values=values, raw_mass=m)
+
+    def as_dict(self) -> dict:
+        """The JSON form: nodes and values, plus each metadata field that is set."""
+        out = {
+            "half_width": self.half_width,
+            "n_cells": self.n_cells,
+            "x": self.nodes.tolist(),
+            "density": self.values.tolist(),
+        }
+        if self.trusted_half_width is not None:
+            out["trusted_half_width"] = self.trusted_half_width
+        if self.singular_points:
+            out["singular_points"] = list(self.singular_points)
+        return out
 
     def to_csv(self) -> str:
         """Serialize as ``x,density`` rows with 17 significant digits.
@@ -320,15 +339,14 @@ def discretize(density: AnalyticDensity, half_width: float, n_cells: int) -> Gri
         )
     h = 2.0 * half_width / n_cells
     half = n_cells // 2 if density.even else n_cells
-    nodes = -half_width + (np.arange(half) + 0.5) * h
+    nodes = _midpoints(half_width, h, half)
 
     # a right-half singular cell of an even law is averaged as its left mirror,
     # so each side of 0 gets an averaged cell even when the central edge
     # rounds off 0 and only one of the two central cells contains it
+    on_grid = tuple(s for s in density.singular_points if -half_width <= s <= half_width)
     singular_cells: set[int] = set()
-    for s in density.singular_points:
-        if not -half_width <= s <= half_width:
-            continue
+    for s in on_grid:
         k0 = int(np.floor((s + half_width) / h))
         for k in (k0 - 1, k0, k0 + 1):
             if 0 <= k < n_cells and -half_width + h * k <= s <= -half_width + h * (k + 1):
@@ -344,6 +362,4 @@ def discretize(density: AnalyticDensity, half_width: float, n_cells: int) -> Gri
         left[k] = _cell_average(density, float(lo), float(hi))
     if density.even:
         values[half:] = left[::-1]
-
-    on_grid = tuple(s for s in density.singular_points if -half_width <= s <= half_width)
     return GridDensity(half_width, values, singular_points=on_grid).normalized()

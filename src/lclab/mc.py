@@ -36,7 +36,7 @@ import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,14 +93,9 @@ class KSReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "D": self.statistic,
-            "scaled": self.scaled,
-            "alpha": self.alpha,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
+        out = asdict(self)
+        out["D"], out["pass"] = out.pop("statistic"), out.pop("passed")
+        return out
 
 
 #: Uniforms per generation block and entries per KS block: a block's

@@ -16,7 +16,7 @@ ties to the smallest |midpoint|, then the smallest midpoint.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,10 +30,10 @@ from .specfun import k_ratio_values
 #: domain; ROADMAP item 4 is to derive an absolute floor from that guarantee.
 TAIL_NOISE_FLOOR = 1e-13
 
-#: Nodes within this many grid steps of a declared singular-point image
-#: are skipped by log-level checks: such entries are built from
-#: cell-averaged spike values whose placement error is O(h) on the log
-#: scale (mass-faithful, not point-faithful).
+#: On a grid with a trusted window, nodes within this many grid steps of a
+#: declared singular-point image are skipped by log-level checks: such
+#: entries are built from cell-averaged spike values whose placement error
+#: is O(h) on the log scale (mass-faithful, not point-faithful).
 SINGULAR_SKIP_STEPS = 2.0
 
 
@@ -60,14 +60,9 @@ class Witness:
     violation: float
 
     def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "m": self.midpoint,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "violation": self.violation,
-        }
+        out = asdict(self)
+        out["m"] = out.pop("midpoint")
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,11 +131,11 @@ def _verdict(prop: ShapeProperty, keys, tol: float, domain, triple: Callable) ->
 def _certified_nodes(g: GridDensity, nodes: np.ndarray) -> np.ndarray:
     """Nodes whose values certify the density on the log scale.
 
-    Excludes values at the tail-noise floor, nodes outside a declared
+    Excludes values at the tail-noise floor and, on a grid with a declared
     trusted window (correlation outputs are pure tail-window products
-    beyond the input half-width), and the immediate vicinity of declared
-    singular-point images (cell-averaged spike entries).  ``nodes`` is
-    ``g.nodes``.
+    beyond the input half-width), the nodes outside it and the immediate
+    vicinity of singular-point images (cell-averaged spike entries).  A grid
+    without a window keeps its singular cells.  ``nodes`` is ``g.nodes``.
     """
     v = g.values
     floor = TAIL_NOISE_FLOOR * float(v.max(initial=0.0))
@@ -161,11 +156,11 @@ def _certified_nodes(g: GridDensity, nodes: np.ndarray) -> np.ndarray:
 def check_log_concavity_grid(g: GridDensity, tol: float) -> ShapeVerdict:
     """Midpoint concavity of ln v over all stride triples of a grid density.
 
-    Triples containing a non-certified node (below the tail-noise floor,
-    outside the grid's trusted window, or adjacent to a singular-point
-    image) are skipped.  Fails with the maximal-violation witness (ties:
-    smallest |midpoint|, then smallest midpoint).  Invariant under positive
-    scaling of the values.
+    Triples containing a non-certified node (below the tail-noise floor or,
+    on a grid with a trusted window, outside it or adjacent to a
+    singular-point image) are skipped.  Fails with the maximal-violation
+    witness (ties: smallest |midpoint|, then smallest midpoint).  Invariant
+    under positive scaling of the values.
 
     Only the certified span, first to last certified node, is scanned.
     When its values and certified nodes read the same reversed, every

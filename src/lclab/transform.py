@@ -149,7 +149,7 @@ def _tilt_moments(log2x: np.ndarray, phi: float, i: np.ndarray) -> tuple[float, 
     return mean, float(w @ (d * d)) / total
 
 
-def _saddle_tilt(a: tuple, b: tuple | None, k: int, phi: float) -> float:
+def _saddle_tilt(log2x: np.ndarray, log2y: np.ndarray | None, k: int, phi: float) -> float:
     """The tilt that centres the products of output entry k.
 
     For the tilted factors a = x 2^(phi i), b = y 2^(phi i) the relative
@@ -161,18 +161,15 @@ def _saddle_tilt(a: tuple, b: tuple | None, k: int, phi: float) -> float:
     their centres (``_saddle_bins``), so a step costs O(4096) at any size
     and phi may be off by a bin width: that only moves the lags a tilt
     makes accurate, as every sum is certified by its own error bound.
-    ``a`` and ``b`` are (x, log2 x) pairs; ``b`` None means y = x.
+    ``log2y`` None means y = x.
     """
-    i, log2x = _saddle_bins(a[1])
-    log2y = None if b is None else _saddle_bins(b[1])[1]
+    i, bins_x = _saddle_bins(log2x)
+    bins_y = None if log2y is None else _saddle_bins(log2y)[1]
     lo, hi = -math.inf, math.inf
     for _ in range(64):
-        mean, spread = _tilt_moments(log2x, phi, i)
-        if log2y is None:
-            mean, spread = 2.0 * mean, 2.0 * spread
-        else:
-            mean_y, spread_y = _tilt_moments(log2y, phi, i)
-            mean, spread = mean + mean_y, spread + spread_y
+        mx = _tilt_moments(bins_x, phi, i)
+        my = mx if bins_y is None else _tilt_moments(bins_y, phi, i)
+        mean, spread = mx[0] + my[0], mx[1] + my[1]
         miss = mean - k
         if abs(miss) <= math.sqrt(spread):
             break
@@ -197,13 +194,13 @@ def _tilted(x: np.ndarray, log2x: np.ndarray, phi: float) -> tuple[np.ndarray, i
     """
     t = np.arange(x.size, dtype=float)
     t *= phi
-    t += log2x
-    j = int(np.argmax(t))
+    q = t + log2x
+    j = int(np.argmax(q))
     e = math.floor(math.log2(x[j]))
-    t = np.arange(-j, x.size - j, dtype=float)
-    t *= phi
+    # exactly (i - j) phi: i phi and j phi lie on the 2^-30 grid below 2^12
+    t -= j * phi
     t -= e
-    q = np.floor(t)
+    np.floor(t, out=q)
     t -= q
     np.exp2(t, out=t)
     t *= x
@@ -221,6 +218,12 @@ def _first_short_lag(v: np.ndarray, floor: float) -> int:
     """
     n = v.size
     return bisect.bisect_left(range(n), True, key=lambda d: _dot(v[: n - d], v[d:]) < floor)
+
+
+def _direct_lags(v: np.ndarray, s: int) -> np.ndarray:
+    """``sum_i v[i] v[i+d]`` for lags d = s..n-1, summed directly in O((n - s)^2)."""
+    r = v.size - s  # the lags are entries r-1 .. 2r-2 of conv(v[s:], v[:r][::-1])
+    return np.convolve(v[s:], v[r - 1 :: -1])[r - 1 :]
 
 
 def _fft_length(r: int) -> int:
@@ -336,7 +339,7 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
     s, phi = 0, 0.0
     while True:
         a, b = (v[s:], log2v[s:]), None if even else (w[s:], log2w[s:])
-        phi = _saddle_tilt(a, b, n - 1 - 2 * s + t, phi) if t else 0.0
+        phi = _saddle_tilt(a[1], b[1] if b else None, n - 1 - 2 * s + t, phi) if t else 0.0
         short = s + _tilt_pass(a, b, phi, out[s:], quality[s:], work)
         r = n - short
         cost = _tilt_cost(r)
@@ -349,7 +352,7 @@ def _tilted_autocorrelation(v: np.ndarray) -> np.ndarray:
         else:
             s = t = short
     if r:
-        out[short:] = np.convolve(v[short:], w[short:])[r - 1 :]
+        out[short:] = _direct_lags(v, short)
     return out
 
 
@@ -369,7 +372,7 @@ def _correlation_sums(v: np.ndarray, use_fft: bool) -> tuple[np.ndarray, int]:
         k = math.frexp(peak)[1]
         v = np.ldexp(v, -k)
     if not use_fft:
-        return np.correlate(v, v, mode="full")[n - 1 :], k
+        return _direct_lags(v, 0), k
     positive = v > 0.0
     lo, hi = int(np.argmax(positive)), n - int(np.argmax(positive[::-1]))
     del positive

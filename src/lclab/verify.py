@@ -78,22 +78,6 @@ class VerificationReport:
         }
 
 
-def _mgf_table(tol_mgf: float) -> dict[float, float]:
-    """Density-quadrature M(t) of the product law, once per distinct t of steps 2-3."""
-    product = dist.normal_product()
-    ts = set(_MGF_T) | set(_FACTORIZATION_T) | {-t for t in _FACTORIZATION_T}
-    return {t: transform.mgf_via_density(product, t, tol_mgf).value for t in sorted(ts)}
-
-
-def _conditioning_table(tol_mgf: float) -> dict[float, float]:
-    """Gaussian-conditioning M(t), once per distinct |t| of steps 2-3.
-
-    The route sees t only through t^2, so M(-t) is M(t) bit for bit.
-    """
-    ts = {abs(t) for t in _MGF_T + _FACTORIZATION_T}
-    return {t: transform.mgf_via_conditioning(t, tol_mgf).value for t in sorted(ts)}
-
-
 def _identity_step(name: str, exact, routes: dict, tol: float, **extra: float) -> StepResult:
     """Each route's largest |route - exact| over the step's probes; passes iff all are <= tol.
 
@@ -180,18 +164,22 @@ def run_verification(
     mc_n: int = MC_N,
 ) -> VerificationReport:
     """Run the full pipeline and collect one report."""
-    product_grid = dist.discretize(dist.normal_product(), half_width, n_cells)
+    product = dist.normal_product()
+    product_grid = dist.discretize(product, half_width, n_cells)
     laplace_grid = dist.discretize(dist.laplace(), half_width, n_cells)
     diff = transform.self_difference(product_grid)
-    mgf = _mgf_table(tol_mgf)
-    conditioning = _conditioning_table(tol_mgf)
+    # one quadrature per distinct t of steps 2-3, and per |t| by conditioning,
+    # which sees t only through t^2: its M(-t) is M(t) bit for bit
+    ts = set(_MGF_T) | set(_FACTORIZATION_T) | {-v for v in _FACTORIZATION_T}
+    mgf = {v: transform.mgf_via_density(product, v, tol_mgf).value for v in ts}
+    conditioning = {v: transform.mgf_via_conditioning(v, tol_mgf).value for v in set(map(abs, ts))}
 
     x = np.array(_DENSITY_PROBES)
     oracle = np.array([specfun.bessel_k0_quadrature_oracle(v, 1e-14).value for v in x])
     t, u = np.array(_MGF_T), np.array(_FACTORIZATION_T)
 
-    def at(table, ts):
-        return np.array([table[v] for v in ts])
+    def at(table, points):
+        return np.array([table[v] for v in points])
 
     mgf_routes = {
         "max_abs_err_density_route": at(mgf, t),
@@ -205,7 +193,7 @@ def run_verification(
     steps = [
         _identity_step(
             "density-identity", 1.0,
-            {"max_rel_err": dist.normal_product().pdf(x) / (oracle / math.pi)},
+            {"max_rel_err": product.pdf(x) / (oracle / math.pi)},
             1e-12, n_probes=float(x.size),
         ),
         # X1 X2 has the MGF (1 - t^2)^(-1/2), so X - X' has the Laplace MGF 1/(1 - t^2)

@@ -316,6 +316,73 @@ def test_saddle_bins_match_exact_root_sum_squares(size):
         assert np.array_equal(bins, log2x)
 
 
+@pytest.mark.parametrize("n", [257, 1000])
+def test_direct_lags_match_exact_sums(n):
+    rng = np.random.default_rng(n)
+    v = np.exp2(rng.uniform(-40.0, 40.0, n)) * rng.uniform(0.0, 1.0, n)
+    v[rng.random(n) < 0.2] = 0.0
+    v[n // 4 : n // 4 + n // 10] = 0.0  # a run of zeros
+    for s in (0, 1, n // 2, n - 1):
+        got = transform._direct_lags(v, s)
+        exact = np.array([math.fsum(v[: n - d] * v[d:]) for d in range(s, n)])
+        assert got.size == n - s
+        assert np.all(np.abs(got - exact) <= 1e-15 * exact)
+
+
+def _two_ramp_tilted(x, log2x, phi):
+    # the tilt with its exponent (i - j) phi - e taken from a second index ramp
+    t = np.arange(x.size, dtype=float)
+    t *= phi
+    t += log2x
+    j = int(np.argmax(t))
+    e = math.floor(math.log2(x[j]))
+    t = np.arange(-j, x.size - j, dtype=float)
+    t *= phi
+    t -= e
+    q = np.floor(t)
+    t -= q
+    np.exp2(t, out=t)
+    t *= x
+    np.clip(q, -1100.0, 1100.0, out=q)
+    return np.ldexp(t, q.astype(np.int32)), j, e
+
+
+def _assert_tilted_is_two_ramp(tilted, x, log2x, phi):
+    got, j, e = tilted(x, log2x, phi)
+    ref, ref_j, ref_e = _two_ramp_tilted(x, log2x, phi)
+    assert (j, e) == (ref_j, ref_e)
+    assert got.tobytes() == ref.tobytes()
+    return got, j, e
+
+
+def test_tilted_equals_two_ramp_formula_bit_for_bit(monkeypatch):
+    # the benchmark's grid ladder: (cells, half-width) for both laws
+    ladder = [(2**12, 12.0), (2**14, 12.0), (2**16, 12.0), (2**18, 12.0),
+              (2**14, 48.0), (2**16, 192.0)]
+    ladder_phis = set()
+    tilted = transform._tilted
+
+    def checked(x, log2x, phi):
+        ladder_phis.add(phi)
+        return _assert_tilted_is_two_ramp(tilted, x, log2x, phi)
+
+    monkeypatch.setattr(transform, "_tilted", checked)
+    for law in ("normal-product", "laplace"):
+        for cells, half_width in ladder:
+            g = dist.discretize(dist.builtin_density(law), half_width, cells)
+            transform.self_difference(g)
+    assert len(ladder_phis) > 1
+    n = 2**18
+    rng = np.random.default_rng(29)
+    x = np.exp2(rng.uniform(-1074.0, 1023.0, n)) * rng.uniform(0.5, 1.0, n)
+    x[rng.random(n) < 0.3] = 0.0
+    log2x = transform._log2(x)
+    quantum = transform._TILT_QUANTUM
+    on_grid = rng.integers(-(2**30), 2**30, 16, endpoint=True) * quantum
+    for phi in [0.0, quantum, -quantum, 1.0, -1.0, *on_grid, *sorted(ladder_phis)]:
+        _assert_tilted_is_two_ramp(tilted, x, log2x, phi)
+
+
 def _comb(cells: int, period: int) -> dist.GridDensity:
     # a lattice law on a grid ``period`` times finer: values on the first
     # half of each period only (one cell for periods 2 and 3), decaying like

@@ -94,10 +94,13 @@ def test_factorization_step_needs_both_routes(monkeypatch):
 
     assert factorization().passed
     # M(t)^2 is off by about 2e-6 when M(t) is off by 1e-6
-    table = verify._conditioning_table
-    monkeypatch.setattr(
-        verify, "_conditioning_table", lambda tol: {t: v + 1e-6 for t, v in table(tol).items()}
-    )
+    route = transform.mgf_via_conditioning
+
+    def shifted(t, tol):
+        m = route(t, tol)
+        return dataclasses.replace(m, value=m.value + 1e-6)
+
+    monkeypatch.setattr(transform, "mgf_via_conditioning", shifted)
     off = factorization()
     assert not off.passed
     assert off.metrics["max_abs_err"] <= verify._FACTORIZATION_TOL
