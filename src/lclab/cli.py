@@ -272,7 +272,7 @@ def _cmd_sample(args) -> int:
     batch = mc.sample(mc.Generator(args.generator), args.seed, args.n)
     _write_text(args.out, _values_csv(batch.values))
     if args.ks or args.ks_out is not None:
-        report = mc.ks_statistic(batch, dist.laplace_cdf, args.alpha)
+        report = mc.ks_statistic(batch.values, args.alpha)
         payload = {"generator": batch.generator.value, "seed": batch.seed}
         payload.update(report.as_dict())
         _write_text(args.ks_out if args.ks_out is not None else "-", _json_dumps(payload))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -117,7 +117,8 @@ def laplace_cdf(x):
     """Laplace(0,1) CDF: exp(x)/2 for x <= 0, 1 - exp(-x)/2 otherwise."""
     arr = np.asarray(x, dtype=float)
     # one exponential serves both branches, in place: beyond its result a call
-    # holds only the branch mask (``mc.ks_statistic`` passes 2^16-entry blocks)
+    # holds only the branch mask (it is the CDF of ``mc.ks_statistic``'s walk,
+    # which passes 2^16-entry blocks of its sorted, NaN-free sample)
     half = np.abs(arr, out=np.empty_like(arr))
     np.negative(half, out=half)
     np.exp(half, out=half)
@@ -147,8 +148,7 @@ class GridDensity:
     """A density sampled on a uniform midpoint grid of even size.
 
     Nodes are ``x_k = -L + (k + 1/2) h`` with ``h = 2L/n``; for even ``n``
-    no node is 0.  ``raw_mass`` records the mass a normalizing step saw
-    before rescaling, when applicable.
+    no node is 0.
 
     Two metadata fields describe where values are pointwise-faithful
     samples of the underlying density (all values are always
@@ -169,7 +169,6 @@ class GridDensity:
 
     half_width: float
     values: np.ndarray
-    raw_mass: float | None = field(default=None, compare=False)
     singular_points: tuple[float, ...] = ()
     trusted_half_width: float | None = None
 
@@ -209,7 +208,7 @@ class GridDensity:
             return self.step * float(np.sum(self.values))
 
     def normalized(self) -> "GridDensity":
-        """Rescale to unit mass, recording the mass seen beforehand.
+        """Rescale to unit mass.
 
         Unit-mass values sum to 1/step, so on grids narrower than about
         n_cells * 2.8e-309 they leave the double range: a ValueError then.
@@ -225,7 +224,7 @@ class GridDensity:
                 f"grid of half-width {self.half_width:g} with {self.n_cells} cells "
                 "cannot be normalized: its mass or unit-mass values overflow"
             )
-        return replace(self, values=values, raw_mass=m)
+        return replace(self, values=values)
 
     def as_dict(self) -> dict:
         """The JSON form: nodes and values, plus each metadata field that is set."""

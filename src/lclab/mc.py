@@ -21,13 +21,15 @@ on grid-sized arrays (``transform``, ``shape``), where a fresh multi-MB
 temporary page-faults on every call, and in ``dist.laplace_cdf``, whose
 ``np.where`` form measured slower.
 
-``ks_statistic`` sorts the batch in place and walks it in blocks of the
-same size, so it needs O(block) beyond the batch.  ``ks_over_seeds`` runs
-the seed table of both generators, one job per (generator, seed), on one
-pool of min(usable CPUs, jobs) threads (the process's CPU affinity, else
-the CPU count); there is no knob.  numpy's uniform generation, ufuncs and
-sort release the GIL, so the time falls with the cores, and the reports
-come back in seed order, bit-identical to one job after another.
+``ks_statistic`` tests a sample array against Laplace(0,1), the one law
+the theorem names: it sorts the array in place, raises ValueError on a
+NaN, and walks it in blocks of the same size with ``dist.laplace_cdf``,
+so it needs O(block) beyond the array.  ``ks_over_seeds`` runs the seed
+table of both generators, one job per (generator, seed), on one pool of
+min(usable CPUs, jobs) threads (the process's CPU affinity, else the CPU
+count); there is no knob.  numpy's uniform generation, ufuncs and sort
+release the GIL, so the time falls with the cores, and the reports come
+back in seed order, bit-identical to one job after another.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import kolmogi
+
+from .dist import laplace_cdf
 
 #: Committed seed table used by the acceptance pipeline; golden statistics
 #: in the test suite quantify over exactly these seeds.
@@ -83,7 +87,7 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class KSReport:
-    """One-sample Kolmogorov-Smirnov outcome against a reference CDF."""
+    """One-sample Kolmogorov-Smirnov outcome against the Laplace(0,1) CDF."""
 
     n: int
     statistic: float
@@ -152,40 +156,32 @@ def kolmogorov_threshold(alpha: float) -> float:
     return float(kolmogi(alpha))
 
 
-def ks_statistic(batch: SampleBatch, cdf: Callable, alpha: float = KS_ALPHA) -> KSReport:
-    """Exact one-sample KS statistic of the batch against a reference CDF.
+def ks_statistic(x: np.ndarray, alpha: float = KS_ALPHA) -> KSReport:
+    """Exact one-sample KS statistic of the sample ``x`` against Laplace(0,1).
 
     D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted
-    sample; the report passes iff sqrt(n) D <= c(alpha).  ``batch.values``
-    is sorted in place, then walked in ``_BLOCK``-entry blocks: each block
-    holds its CDF values and the levels k/n for its k (the same doubles as
-    the integer quotients), so the running D+ and D- are those of the
-    full-array formula and memory is O(block) beyond the batch.
+    sample; the report passes iff sqrt(n) D <= c(alpha).  ``x`` is sorted
+    in place, then walked in ``_BLOCK``-entry blocks: each block holds its
+    CDF values and the levels k/n for its k (the same doubles as the integer
+    quotients), so the running D+ and D- are those of the full-array formula
+    and memory is O(block) beyond the sample.
     """
-    x = batch.values
     n = x.size
     if n == 0:
-        raise ValueError("empty sample batch")
-    # before the sort, so a bad alpha leaves the batch as it was
+        raise ValueError("empty sample")
+    # before the sort, so a bad alpha leaves the sample as it was
     threshold = kolmogorov_threshold(alpha)
     x.sort()
-    # prev is the CDF at the previous block's last entry
-    d_plus = d_minus = prev = -math.inf
+    if np.isnan(x[-1]):  # the sort puts every NaN last
+        raise ValueError("sample holds a NaN")
+    d_plus = d_minus = -math.inf
     for a in range(0, n, _BLOCK):
         m = min(_BLOCK, n - a)
-        f = np.asarray(cdf(x[a : a + m]), dtype=float)
-        # written so that a NaN, in the sample or from the CDF, fails them
-        if not (f[0] >= prev) or not np.all(f[1:] >= f[:-1]):
-            raise ValueError("reference CDF is not monotone on the sample")
-        if a == 0:
-            first = f[0]
-        prev = f[-1]
+        f = laplace_cdf(x[a : a + m])
         # i/n = levels[1:] and (i-1)/n = levels[:-1] for the block's i = a+1..a+m
         levels = np.arange(a, a + m + 1) / n
         d_plus = max(d_plus, float(np.max(levels[1:] - f)))
         d_minus = max(d_minus, float(np.max(f - levels[:-1])))
-    if first < 0.0 or prev > 1.0:
-        raise ValueError("reference CDF leaves [0, 1]")
     d = max(d_plus, d_minus)
     scaled = math.sqrt(n) * d
     return KSReport(n, d, scaled, alpha, threshold, scaled <= threshold)
@@ -198,23 +194,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def ks_over_seeds(
-    seeds: Sequence[int], n: int, cdf: Callable, alpha: float = KS_ALPHA
-) -> dict[Generator, list[KSReport]]:
+def ks_over_seeds(seeds: Sequence[int], n: int) -> dict[Generator, list[KSReport]]:
     """KS reports of both generators across a seed table, each list in seed order.
 
-    Each (generator, seed) job is ``ks_statistic(sample(generator, seed, n))``
+    Each (generator, seed) job is ``ks_statistic(sample(generator, seed, n).values)``
     and owns its batch.  The jobs run on one pool of min(usable CPUs, jobs)
-    threads, so ``cdf`` is called from several threads at once; an error in
-    any job is raised here, the first in job order (self-difference seeds,
-    then product seeds).
+    threads; an error in any job is raised here, the first in job order
+    (self-difference seeds, then product seeds).
     """
-    kolmogorov_threshold(alpha)  # a bad alpha fails before any job samples
     # self-difference jobs first: they draw twice the uniforms
     order = (Generator.PRODUCT_SELF_DIFFERENCE, Generator.NORMAL_PRODUCT)
     jobs = [(g, s) for g in order for s in seeds]
     workers = max(1, min(_usable_cpus(), len(jobs)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(lambda job: ks_statistic(sample(*job, n), cdf, alpha), jobs))
+        reports = list(pool.map(lambda job: ks_statistic(sample(*job, n).values), jobs))
     k = len(seeds)
     return {g: reports[i * k : (i + 1) * k] for i, g in enumerate(order)}

@@ -133,7 +133,7 @@ def _shape_step(
 
 def _monte_carlo_step(n: int) -> StepResult:
     seeds = mc.GOLDEN_SEEDS
-    reports = mc.ks_over_seeds(seeds, n, dist.laplace_cdf)
+    reports = mc.ks_over_seeds(seeds, n)
     good = reports[mc.Generator.PRODUCT_SELF_DIFFERENCE]
     bad = reports[mc.Generator.NORMAL_PRODUCT]
     n_pass = sum(r.passed for r in good)
@@ -175,7 +175,7 @@ def run_verification(
     conditioning = {v: transform.mgf_via_conditioning(v, tol_mgf).value for v in set(map(abs, ts))}
 
     x = np.array(_DENSITY_PROBES)
-    oracle = np.array([specfun.bessel_k0_quadrature_oracle(v, 1e-14).value for v in x])
+    oracle = np.array([specfun.bessel_k0_quadrature_oracle(v).value for v in x])
     t, u = np.array(_MGF_T), np.array(_FACTORIZATION_T)
 
     def at(table, points):

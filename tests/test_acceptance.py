@@ -28,7 +28,7 @@ def test_criterion_1_bessel_oracle_agreement():
     worst = 0.0
     xs = np.geomspace(1e-6, 700.0, 200)
     for x, main in zip(xs, specfun.k0_values(xs)):
-        oracle = specfun.bessel_k0_quadrature_oracle(float(x), 1e-14)
+        oracle = specfun.bessel_k0_quadrature_oracle(float(x))
         denom = max(abs(oracle.value), 1e-300)
         worst = max(worst, abs(main - oracle.value) / denom)
     elapsed = time.perf_counter() - start
@@ -157,7 +157,7 @@ def test_criterion_6_fft_correctness():
 
 def test_criterion_7_monte_carlo():
     start = time.perf_counter()
-    reports = mc.ks_over_seeds(mc.GOLDEN_SEEDS, 10**6, dist.laplace_cdf, 0.001)
+    reports = mc.ks_over_seeds(mc.GOLDEN_SEEDS, 10**6)
     good = reports[Generator.PRODUCT_SELF_DIFFERENCE]
     bad = reports[Generator.NORMAL_PRODUCT]
     elapsed = time.perf_counter() - start

@@ -97,29 +97,20 @@ def test_sample_validates_arguments():
 
 
 def test_kolmogorov_thresholds():
-    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 1, 100)
-    assert mc.ks_statistic(batch, dist.laplace_cdf, 0.001).threshold == pytest.approx(1.949, abs=5e-4)
-    assert mc.ks_statistic(batch, dist.laplace_cdf, 0.01).threshold == pytest.approx(1.628, abs=5e-4)
+    values = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 1, 100).values
+    assert mc.ks_statistic(values, 0.001).threshold == pytest.approx(1.949, abs=5e-4)
+    assert mc.ks_statistic(values, 0.01).threshold == pytest.approx(1.628, abs=5e-4)
     with pytest.raises(ValueError):
-        mc.ks_statistic(batch, dist.laplace_cdf, 0.0)
+        mc.ks_statistic(values, 0.0)
 
 
 def test_bad_alpha_leaves_the_batch_unsorted():
-    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 1, 100)
-    drawn = batch.values.copy()
+    values = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 1, 100).values
+    drawn = values.copy()
     for alpha in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError, match="alpha"):
-            mc.ks_statistic(batch, dist.laplace_cdf, alpha)
-        assert np.array_equal(batch.values, drawn)
-
-
-def test_ks_over_seeds_checks_alpha_before_sampling(monkeypatch):
-    def no_sample(*args):
-        raise AssertionError("sampled before checking alpha")
-
-    monkeypatch.setattr(mc, "sample", no_sample)
-    with pytest.raises(ValueError, match="alpha"):
-        mc.ks_over_seeds(mc.GOLDEN_SEEDS, 1000, dist.laplace_cdf, 0.0)
+            mc.ks_statistic(values, alpha)
+        assert np.array_equal(values, drawn)
 
 
 def test_ks_on_exact_quantiles_gives_half_over_n():
@@ -127,46 +118,30 @@ def test_ks_on_exact_quantiles_gives_half_over_n():
     n = 1000
     p = (np.arange(1, n + 1) - 0.5) / n
     quantiles = np.where(p <= 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
-    batch = mc.SampleBatch(Generator.PRODUCT_SELF_DIFFERENCE, 0, n, quantiles)
-    report = mc.ks_statistic(batch, dist.laplace_cdf, alpha=0.001)
+    report = mc.ks_statistic(quantiles, alpha=0.001)
     assert report.statistic == pytest.approx(1.0 / (2 * n), abs=1e-12)
     assert report.passed
 
 
 def test_ks_rejects_empty_and_nonmonotone():
-    empty = mc.SampleBatch(Generator.NORMAL_PRODUCT, 0, 1, np.array([]))
-    with pytest.raises(ValueError):
-        mc.ks_statistic(empty, dist.laplace_cdf)
-    batch = mc.sample(Generator.NORMAL_PRODUCT, 1, 100)
-    with pytest.raises(ValueError):
-        mc.ks_statistic(batch, lambda x: -x)
-    with pytest.raises(ValueError):
-        mc.ks_statistic(batch, lambda x: dist.laplace_cdf(x) + 0.5)
-    # monotone inside each KS block but dropping from the last entry of the
-    # first block to the first entry of the second
-    wide = mc.sample(Generator.NORMAL_PRODUCT, 1, mc._BLOCK + 100)
-    cut = np.sort(wide.values)[mc._BLOCK]
-    with pytest.raises(ValueError, match="not monotone"):
-        mc.ks_statistic(wide, lambda x: dist.laplace_cdf(x) - 0.25 * (x >= cut))
+    with pytest.raises(ValueError, match="empty"):
+        mc.ks_statistic(np.array([]))
 
 
 def test_ks_rejects_nan():
-    # a NaN, in the sample or from the CDF, is an error, not a KS rejection
-    batch = mc.sample(Generator.NORMAL_PRODUCT, 1, 100)
-    batch.values[37] = np.nan
-    with pytest.raises(ValueError, match="not monotone"):
-        mc.ks_statistic(batch, dist.laplace_cdf)
-    # NaN at the first entry of the second KS block, then inside it
-    wide = mc.sample(Generator.NORMAL_PRODUCT, 1, mc._BLOCK + 100)
-    for k in (mc._BLOCK, mc._BLOCK + 50):
-        cut = np.sort(wide.values)[k]
-        with pytest.raises(ValueError, match="not monotone"):
-            mc.ks_statistic(wide, lambda x: np.where(x == cut, np.nan, dist.laplace_cdf(x)))
+    # a NaN in the sample is an error, not a KS rejection: first, inside the
+    # first KS block, at the first entry of the second block, and everywhere
+    drawn = mc.sample(Generator.NORMAL_PRODUCT, 1, mc._BLOCK + 100).values
+    for k in (0, 37, mc._BLOCK, slice(None)):
+        values = drawn.copy()
+        values[k] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            mc.ks_statistic(values)
 
 
 @pytest.fixture(scope="module")
 def golden_table():
-    return mc.ks_over_seeds(mc.GOLDEN_SEEDS, 10**6, dist.laplace_cdf, 0.001)
+    return mc.ks_over_seeds(mc.GOLDEN_SEEDS, 10**6)
 
 
 def test_golden_seed_table_against_laplace(golden_table):
@@ -201,8 +176,7 @@ def test_cdf_sup_distance_pinned_by_quadrature():
 
 
 def test_ks_report_dict_keys():
-    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, 1000)
-    report = mc.ks_statistic(batch, dist.laplace_cdf, 0.01)
+    report = mc.ks_statistic(mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, 1000).values, 0.01)
     payload = report.as_dict()
     assert set(payload) == {"n", "D", "scaled", "alpha", "threshold", "pass"}
     assert payload["threshold"] == pytest.approx(1.628, abs=5e-4)
@@ -295,14 +269,12 @@ def test_blocked_sampler_matches_reference_at_chunk_offsets(generator, monkeypat
 def test_pair_normals_are_independent_standard_normals(generator, seed):
     # the sampler's law rests on this, not on the Laplace identity: each
     # normal slot of a value, r cos a or r sin a of its pair, passes KS against
-    # the normal CDF, and no two slots correlate beyond 4 sigma
+    # the normal CDF at alpha = 0.001, and no two slots correlate beyond 4 sigma
     z = _pair_normals(_reference(generator, seed, 10**6)[0])
-    # before the KS tests, which sort each column in place
     off_diagonal = np.corrcoef(z.T)[np.triu_indices(z.shape[1], k=1)]
     assert np.all(np.abs(off_diagonal) <= 4.0 / math.sqrt(z.shape[0]))
     for column in z.T:
-        batch = mc.SampleBatch(generator, seed, column.size, column)
-        assert mc.ks_statistic(batch, ndtr, 0.001).passed
+        assert _textbook_ks(column, ndtr) <= mc.kolmogorov_threshold(0.001) / math.sqrt(column.size)
 
 
 @pytest.mark.parametrize("generator", list(Generator))
@@ -366,37 +338,36 @@ def _textbook_ks(values, cdf):
 def test_ks_statistic_equals_textbook_formula():
     b = mc._BLOCK
     for n in (1, b - 1, b, b + 1, 200_001):
-        batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 104, n)
-        report = mc.ks_statistic(batch, dist.laplace_cdf)
-        assert report.statistic == _textbook_ks(batch.values, dist.laplace_cdf)
+        values = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 104, n).values
+        report = mc.ks_statistic(values)
+        assert report.statistic == _textbook_ks(values, dist.laplace_cdf)
     n = 1000
     p = (np.arange(1, n + 1) - 0.5) / n
     quantiles = np.where(p <= 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
-    exact = mc.SampleBatch(Generator.PRODUCT_SELF_DIFFERENCE, 0, n, quantiles)
-    report = mc.ks_statistic(exact, dist.laplace_cdf)
+    report = mc.ks_statistic(quantiles)
     assert report.statistic == _textbook_ks(quantiles, dist.laplace_cdf)
 
 
 def test_ks_statistic_sorts_batch_in_place():
     # the walk needs the sorted sample and the batch is the job's own, so no
-    # copy is made: the batch comes back sorted, with the report of a batch
+    # copy is made: the sample comes back sorted, with the report of a sample
     # sorted beforehand
-    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, mc._BLOCK + 10_000)
-    presorted = mc.SampleBatch(batch.generator, batch.seed, batch.n, np.sort(batch.values))
-    report = mc.ks_statistic(batch, dist.laplace_cdf)
-    assert np.array_equal(batch.values, presorted.values)
-    assert report == mc.ks_statistic(presorted, dist.laplace_cdf)
+    values = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, mc._BLOCK + 10_000).values
+    presorted = np.sort(values)
+    report = mc.ks_statistic(values)
+    assert np.array_equal(values, presorted)
+    assert report == mc.ks_statistic(presorted)
 
 
 def test_ks_statistic_memory_is_blocks_beyond_the_batch():
-    batch = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, 10**6)
+    values = mc.sample(Generator.PRODUCT_SELF_DIFFERENCE, 101, 10**6).values
     tracemalloc.start()
     try:
-        mc.ks_statistic(batch, dist.laplace_cdf)
+        mc.ks_statistic(values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * batch.values.nbytes
+    assert peak <= 0.5 * values.nbytes
 
 
 def _cpus(monkeypatch, cpus):
@@ -407,48 +378,48 @@ def _cpus(monkeypatch, cpus):
 def test_ks_over_seeds_equals_serial_reports(monkeypatch, cpus):
     _cpus(monkeypatch, cpus)
     seeds, n = (101, 102, 103, 104, 105), mc._BLOCK + 3
-    serial = {
-        g: [mc.ks_statistic(mc.sample(g, s, n), dist.laplace_cdf, 0.01) for s in seeds]
-        for g in Generator
-    }
-    assert mc.ks_over_seeds(seeds, n, dist.laplace_cdf, 0.01) == serial
+    serial = {g: [mc.ks_statistic(mc.sample(g, s, n).values) for s in seeds] for g in Generator}
+    assert mc.ks_over_seeds(seeds, n) == serial
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_ks_over_seeds_raises_a_failing_job(monkeypatch, cpus):
     _cpus(monkeypatch, cpus)
     seeds, n = (101, 102, 103, 104), 1000
-    # each sample's lowest value, its first entry once sorted
-    lowest = {
-        (g, s): float(mc.sample(g, s, n).values.min()) for g in Generator for s in (102, 103)
-    }
+    sample = mc.sample
 
-    def cdf(fails):
-        def broken_cdf(x):
-            # leaves [0, 1] or is decreasing on the samples named in fails
-            f = dist.laplace_cdf(x)
-            for job, how in fails.items():
-                if x[0] == lowest[job]:
-                    return f - 1.0 if how == "leaves" else -f
-            return f
+    def fail(jobs):
+        # the jobs named in jobs draw an all-NaN batch or an empty one, which
+        # ks_statistic rejects with different messages
+        def broken_sample(generator, seed, n):
+            how = jobs.get((generator, seed))
+            if how is None:
+                return sample(generator, seed, n)
+            values = np.full(n, np.nan) if how == "nan" else np.empty(0)
+            return mc.SampleBatch(generator, seed, n, values)
 
-        return broken_cdf
+        monkeypatch.setattr(mc, "sample", broken_sample)
 
-    with pytest.raises(ValueError, match="leaves"):
-        mc.ks_over_seeds(seeds, n, cdf({(Generator.NORMAL_PRODUCT, 103): "leaves"}))
+    fail({(Generator.NORMAL_PRODUCT, 103): "nan"})
+    with pytest.raises(ValueError, match="NaN"):
+        mc.ks_over_seeds(seeds, n)
     # the self-difference jobs come first, then seed order
-    first = {
-        (Generator.NORMAL_PRODUCT, 102): "monotone",
-        (Generator.PRODUCT_SELF_DIFFERENCE, 103): "leaves",
-    }
-    with pytest.raises(ValueError, match="leaves"):
-        mc.ks_over_seeds(seeds, n, cdf(first))
-    first = {
-        (Generator.PRODUCT_SELF_DIFFERENCE, 102): "monotone",
-        (Generator.PRODUCT_SELF_DIFFERENCE, 103): "leaves",
-    }
-    with pytest.raises(ValueError, match="not monotone"):
-        mc.ks_over_seeds(seeds, n, cdf(first))
+    fail(
+        {
+            (Generator.NORMAL_PRODUCT, 102): "empty",
+            (Generator.PRODUCT_SELF_DIFFERENCE, 103): "nan",
+        }
+    )
+    with pytest.raises(ValueError, match="NaN"):
+        mc.ks_over_seeds(seeds, n)
+    fail(
+        {
+            (Generator.PRODUCT_SELF_DIFFERENCE, 102): "empty",
+            (Generator.PRODUCT_SELF_DIFFERENCE, 103): "nan",
+        }
+    )
+    with pytest.raises(ValueError, match="empty"):
+        mc.ks_over_seeds(seeds, n)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -459,7 +430,7 @@ def test_ks_over_seeds_memory_is_one_batch_per_worker(monkeypatch, cpus):
     n = 10**6
     tracemalloc.start()
     try:
-        mc.ks_over_seeds(mc.GOLDEN_SEEDS, n, dist.laplace_cdf)
+        mc.ks_over_seeds(mc.GOLDEN_SEEDS, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

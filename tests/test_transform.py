@@ -30,13 +30,18 @@ def test_product_selfdiff_is_laplace_in_sup_norm(product_selfdiff):
     assert sup <= 1e-3
 
 
-def test_product_selfdiff_sup_distance_shrinks_with_n(product_selfdiff):
+@pytest.fixture(scope="module")
+def product_grid_2_20():
+    """The product law on 2^20 cells at L = 12, the top of the grid sizes in scope."""
+    return dist.discretize(dist.normal_product(), 12.0, 2**20)
+
+
+def test_product_selfdiff_sup_distance_shrinks_with_n(product_selfdiff, product_grid_2_20):
     pdf = dist.laplace().pdf
-    sup_4096 = np.max(np.abs(product_selfdiff.values - pdf(product_selfdiff.nodes)))
-    g8 = dist.discretize(dist.normal_product(), 12.0, 8192)
-    sd8 = transform.self_difference(g8)
-    sup_8192 = np.max(np.abs(sd8.values - pdf(sd8.nodes)))
-    assert sup_8192 < sup_4096
+    grids = (dist.discretize(dist.normal_product(), 12.0, 8192), product_grid_2_20)
+    sds = [product_selfdiff] + [transform.self_difference(g) for g in grids]
+    sups = [np.max(np.abs(sd.values - pdf(sd.nodes))) for sd in sds]
+    assert sups[0] > sups[1] > sups[2]
 
 
 def test_output_grid_geometry(product_grid, product_selfdiff):
@@ -460,16 +465,22 @@ def test_selfdiff_of_a_grid_peaking_past_1e153(law):
     assert fft.values.max() == pytest.approx(0.5e200, rel=0.05)
 
 
-def test_product_selfdiff_log_concave_far_into_the_tail():
+def test_product_selfdiff_log_concave_far_into_the_tail(product_grid_2_20):
     # entries near 1e-8 of the peak, where a plain FFT's absolute round-off
-    # breaks log-concavity at tol 1e-9 at this size
-    g = dist.discretize(dist.normal_product(), 48.0, 2**14)
-    assert shape.check_log_concavity_grid(transform.self_difference(g), 1e-9).holds
+    # breaks log-concavity at tol 1e-9 at the first size; the product itself
+    # is not log-concave
+    for g in (dist.discretize(dist.normal_product(), 48.0, 2**14), product_grid_2_20):
+        assert not shape.check_log_concavity_grid(g, 1e-9).holds
+        assert shape.check_log_concavity_grid(transform.self_difference(g), 1e-9).holds
 
 
 def test_mass_conservation(product_selfdiff, product_grid):
     assert product_selfdiff.mass == pytest.approx(1.0, abs=1e-12)
-    assert abs(1.0 - product_selfdiff.raw_mass) <= 1e-4
+    # before normalizing, the self-difference of a unit-mass grid has mass
+    # h^2 (S_0 + 2 sum_{d>=1} S_d) = (h sum v)^2 = 1
+    sums, k = transform._correlation_sums(product_grid.values, use_fft=True)
+    raw = product_grid.step**2 * math.ldexp(sums[0] + 2.0 * sums[1:].sum(), 2 * k)
+    assert abs(1.0 - raw) <= 1e-12
 
 
 def test_variance_additivity(product_grid, product_selfdiff):
