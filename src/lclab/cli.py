@@ -15,7 +15,7 @@ import os
 import stat
 import sys
 import tempfile
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import dist, mc, shape, specfun, transform, verify
 from .errors import NonConvergenceError
@@ -24,14 +24,13 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 
 
-def _write_text(path: str, text: str | Iterable[str]) -> None:
-    """Write text, or its chunks in turn, to path ('-' = stdout).
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write text chunks in turn to path ('-' = stdout).
 
     A file is written atomically with the mode a plain ``open(path, "w")``
     leaves: the existing file's, else 0o666 less the umask (``mkstemp``
     alone would make it 0600).
     """
-    chunks = (text,) if isinstance(text, str) else text
     if path == "-":
         sys.stdout.writelines(chunks)
         return
@@ -61,12 +60,13 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_chunks(obj) -> Iterator[str]:
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    yield "\n"
 
 
 def _emit_grid(grid: dist.GridDensity, out: str, fmt: str) -> None:
-    _write_text(out, grid.to_csv() if fmt == "csv" else _json_dumps(grid.as_dict()))
+    _write_text(out, grid.to_csv() if fmt == "csv" else _json_chunks(grid.as_dict()))
 
 
 def _parse_t_list(text: str) -> list[float]:
@@ -206,7 +206,7 @@ def _cmd_verify_theorem(args) -> int:
     if not report.overall:
         print(f"first failing step: {report.first_failure}")
     if args.out is not None:
-        _write_text(args.out, _json_dumps(report.as_dict()))
+        _write_text(args.out, _json_chunks(report.as_dict()))
     return EXIT_OK if report.overall else EXIT_VERIFICATION_FAILURE
 
 
@@ -241,7 +241,7 @@ def _cmd_mgf(args) -> int:
                 "method": key.replace("_", "-"),
             }
         rows.append(row)
-    _write_text(args.out, _json_dumps(rows))
+    _write_text(args.out, _json_chunks(rows))
     return EXIT_OK
 
 
@@ -257,35 +257,33 @@ def _cmd_shape(args) -> int:
             )
         else:
             verdict = shape.check_ratio_monotonicity(a, b, args.probes)
-    _write_text(args.out, _json_dumps(verdict.as_dict()))
+    _write_text(args.out, _json_chunks(verdict.as_dict()))
     return EXIT_OK
-
-
-def _values_csv(values):
-    """The values CSV in chunks of ``mc._BLOCK`` rows, so it needs O(block) memory."""
-    yield "value\n"
-    for a in range(0, values.size, mc._BLOCK):
-        yield "".join(f"{v:.17g}\n" for v in values[a : a + mc._BLOCK].tolist())
 
 
 def _cmd_sample(args) -> int:
     batch = mc.sample(mc.Generator(args.generator), args.seed, args.n)
-    _write_text(args.out, _values_csv(batch.values))
+    _write_text(args.out, dist.csv_chunks("value\n", batch.values))
     if args.ks or args.ks_out is not None:
         report = mc.ks_statistic(batch.values, args.alpha)
         payload = {"generator": batch.generator.value, "seed": batch.seed}
         payload.update(report.as_dict())
-        _write_text(args.ks_out if args.ks_out is not None else "-", _json_dumps(payload))
+        _write_text(args.ks_out if args.ks_out is not None else "-", _json_chunks(payload))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # every lclab error but NonConvergenceError is a ValueError; a MemoryError
-    # is an --n whose arrays cannot be allocated
+    # is an --n whose arrays cannot be allocated; a closed stdout pipe is a
+    # BrokenPipeError, met at the latest by the flush here
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (NonConvergenceError, ValueError, OSError, MemoryError) as exc:
+        if isinstance(exc, BrokenPipeError):  # so the flush at exit fails no more
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
 

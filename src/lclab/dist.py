@@ -9,11 +9,10 @@ origin and therefore tolerates the product law's singularity.
 
 from __future__ import annotations
 
-import io
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .quadrature import adaptive_quad
 
 _LN_SQRT_2PI = 0.918938533204672741780329736406  # ln sqrt(2 pi)
 _LN_PI = math.log(math.pi)
+_CHUNK_ROWS = 1 << 16  # rows of CSV text formatted at a time
 
 
 @dataclass(frozen=True)
@@ -240,48 +240,46 @@ class GridDensity:
             out["singular_points"] = list(self.singular_points)
         return out
 
-    def to_csv(self) -> str:
-        """Serialize as ``x,density`` rows with 17 significant digits.
+    def to_csv(self) -> Iterator[str]:
+        """Serialize as ``x,density`` rows with 17 significant digits, in chunks.
 
         Metadata travels in ``#``-prefixed comment lines ahead of the
         header so the file stays a plain two-column CSV for other tools.
         """
-        buf = io.StringIO()
+        head = ""
         if self.trusted_half_width is not None:
-            buf.write(f"# trusted-half-width: {self.trusted_half_width:.17g}\n")
+            head += f"# trusted-half-width: {self.trusted_half_width:.17g}\n"
         if self.singular_points:
             pts = " ".join(f"{s:.17g}" for s in self.singular_points)
-            buf.write(f"# singular-points: {pts}\n")
-        buf.write("x,density\n")
-        for x, v in zip(self.nodes, self.values):
-            buf.write(f"{x:.17g},{v:.17g}\n")
-        return buf.getvalue()
+            head += f"# singular-points: {pts}\n"
+        return csv_chunks(head + "x,density\n", self.nodes, self.values)
 
     @classmethod
     def from_csv(cls, text: str) -> "GridDensity":
-        """Parse the ``to_csv`` format back into a grid."""
+        """Parse the ``to_csv`` format back into a grid; ``np.loadtxt`` reads the rows."""
         trusted: float | None = None
         singular: tuple[float, ...] = ()
         lines = []
-        for ln in text.splitlines():
-            ln = ln.strip()
-            if not ln:
+        for ln in map(str.strip, text.splitlines()):
+            if ln and not ln.startswith("#"):
+                lines.append(ln)
                 continue
-            if ln.startswith("#"):
-                body = ln.lstrip("#").strip()
-                if body.lower().startswith("trusted-half-width:"):
-                    (trusted,) = _csv_floats([body.split(":", 1)[1]])
-                elif body.lower().startswith("singular-points:"):
-                    singular = _csv_floats(body.split(":", 1)[1].split())
-                continue
-            lines.append(ln)
+            body = ln.lstrip("#").strip()
+            if body.lower().startswith("trusted-half-width:"):
+                (trusted,) = _csv_floats([body.split(":", 1)[1]])
+            elif body.lower().startswith("singular-points:"):
+                singular = _csv_floats(body.split(":", 1)[1].split())
         if not lines or lines[0].lower() != "x,density":
             raise ValueError("expected header 'x,density'")
-        rows = [_csv_floats(ln.split(",")) for ln in lines[1:]]
-        if any(len(r) != 2 for r in rows) or len(rows) < 2:
+        data = None
+        if len(lines) > 2:  # the header and 2 rows; np.loadtxt only warns on none
+            try:  # comments=None keeps a data row with a trailing '# note' malformed
+                data = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"malformed grid CSV: {exc}") from None
+        if data is None or data.shape[1] != 2:
             raise ValueError("grid CSV needs >= 2 rows of 'x,density'")
-        x = np.array([r[0] for r in rows])
-        v = np.array([r[1] for r in rows])
+        x, v = data.T
         # a grid of finite width 2L has its nodes inside (-L, L), and no
         # difference of such nodes overflows
         if not np.all(np.abs(x) < 0.5 * sys.float_info.max):
@@ -290,8 +288,7 @@ class GridDensity:
         if h <= 0 or not np.allclose(np.diff(x), h, rtol=1e-9, atol=1e-12 * abs(h)):
             raise ValueError("grid CSV nodes must be uniformly increasing")
         half_width = 0.5 * (x[-1] - x[0]) + 0.5 * h
-        n = len(rows)
-        if n % 2:
+        if x.size % 2:
             raise ValueError("grid CSV must have an even number of rows")
         expected_first = -half_width + 0.5 * h
         if abs(x[0] - expected_first) > 1e-9 * max(1.0, half_width):
@@ -301,6 +298,14 @@ class GridDensity:
             # rounding only, the comment line gives it exactly
             half_width = trusted
         return cls(half_width, v, singular_points=singular, trusted_half_width=trusted)
+
+
+def csv_chunks(head: str, *columns: np.ndarray) -> Iterator[str]:
+    """``head``, then the rows of ``columns`` at 17 significant digits, ``_CHUNK_ROWS`` a chunk."""
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    yield head
+    for a in range(0, len(columns[0]), _CHUNK_ROWS):
+        yield "".join(map(row.format, *(c[a : a + _CHUNK_ROWS].tolist() for c in columns)))
 
 
 def _csv_floats(tokens) -> tuple[float, ...]:

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lclab import cli, dist, mc
+from lclab import cli, dist, mc, transform
 from lclab.cli import main
 
 
@@ -92,7 +92,7 @@ def test_write_text_failing_mid_write_leaves_target_and_no_part_file(tmp_path):
 
 def test_selfdiff_of_massless_grid_exits_1(tmp_path, capsys):
     grid_path = tmp_path / "zero.csv"
-    grid_path.write_text(dist.GridDensity(4.0, np.zeros(8)).to_csv())
+    grid_path.write_text("".join(dist.GridDensity(4.0, np.zeros(8)).to_csv()))
     code, _, err = run_cli(capsys, "selfdiff", "--in", str(grid_path))
     assert code == 1
     assert err.startswith("error: grid mass 0.0 differs from 1")
@@ -236,9 +236,11 @@ def test_sample_csv_and_ks_json(tmp_path, capsys):
 
 @pytest.mark.parametrize("block", [2**12, mc._BLOCK])
 def test_sample_csv_memory_is_the_batch_plus_blocks(block, tmp_path, monkeypatch, capsys):
-    # the CSV is written a block of rows at a time, not built whole: about
-    # 110 bytes a row of a block on CPython, against ~360 a row of the batch
+    # the batch is drawn and its CSV written a block of rows at a time, not
+    # built whole: about 110 bytes a row of a block on CPython, against ~360
+    # a row of the batch
     monkeypatch.setattr(mc, "_BLOCK", block)
+    monkeypatch.setattr(dist, "_CHUNK_ROWS", block)
     n = 200_000
     tracemalloc.start()
     try:
@@ -251,6 +253,59 @@ def test_sample_csv_memory_is_the_batch_plus_blocks(block, tmp_path, monkeypatch
         tracemalloc.stop()
     assert code == 0
     assert peak - 8 * n <= 160 * block
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_output_memory_is_the_grid_plus_chunks(fmt, tmp_path, monkeypatch):
+    # CSV rows are formatted a chunk at a time and JSON is encoded a piece at
+    # a time, not built whole: beyond the grid an output holds its node array
+    # and index ramp (16 B a row), JSON also the two float lists of
+    # ``as_dict`` (2 x 32 B a row), and O(chunk)
+    chunk = 2**10
+    monkeypatch.setattr(dist, "_CHUNK_ROWS", chunk)
+    grid = transform.self_difference(dist.discretize(dist.normal_product(), 12.0, 2**16))
+    assert grid.n_cells == 2**17
+    tracemalloc.start()
+    try:
+        cli._emit_grid(grid, str(tmp_path / "out"), fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row_bytes = 16 if fmt == "csv" else 16 + 2 * (8 + sys.getsizeof(1.0))
+    assert peak <= row_bytes * grid.n_cells + 400 * chunk
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        (["density", "--law", "normal-product", "--cells", "65536"], 1),
+        (["sample", "--generator", "normal-product", "--seed", "1", "--n", "200000"], 1),
+        (["mgf", "--t", "0"], 0),
+    ],
+    ids=["density", "sample", "mgf"],
+)
+def test_closed_output_pipe_exits_1(argv, lines_read, unbuffered):
+    # density and sample write many times a pipe's buffer, so the reader's
+    # close after one line lands mid-write; mgf's few lines are still in
+    # stdout's buffer when the reader closes at once (an empty
+    # PYTHONUNBUFFERED counts as unset).  Either way: exit 1 and one error
+    # line, and nothing when the interpreter flushes at exit
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lclab", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+    )
+    try:
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "Broken pipe" in err, err
 
 
 @pytest.fixture(params=[0o022, 0o077, 0o002], ids=lambda m: f"umask{m:03o}")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,7 +230,7 @@ def test_moment_refinement_ladder():
 
 
 def test_csv_round_trip(product_selfdiff):
-    text = product_selfdiff.to_csv()
+    text = "".join(product_selfdiff.to_csv())
     back = dist.GridDensity.from_csv(text)
     assert np.array_equal(back.values, product_selfdiff.values)
     assert back.half_width == pytest.approx(product_selfdiff.half_width, rel=1e-15)
@@ -267,7 +268,7 @@ def _grids(draw):
 @settings(max_examples=200, deadline=None)
 @given(_grids())
 def test_csv_round_trip_arbitrary_metadata(g):
-    back = dist.GridDensity.from_csv(g.to_csv())
+    back = dist.GridDensity.from_csv("".join(g.to_csv()))
     assert np.array_equal(back.values, g.values)
     assert back.half_width == pytest.approx(g.half_width, rel=1e-12)
     assert back.trusted_half_width == g.trusted_half_width
@@ -277,8 +278,14 @@ def test_csv_round_trip_arbitrary_metadata(g):
 MALFORMED_CSV = [
     ("nope\n1,2\n", "expected header 'x,density'"),
     ("x,density\n0.5,1\n1.5,1\n2.6,1\n3.5,1\n", "must be uniformly increasing"),
-    ("x,density\n-0.5,abc\n0.5,1\n", "malformed grid CSV: could not convert string to float: 'abc'"),
+    ("x,density\n-0.5,abc\n0.5,1\n", "malformed grid CSV: could not convert string 'abc'"),
+    ("x,density\n-0.5,1\n0.5,1,2\n1.5,1\n2.5,1\n", "malformed grid CSV: the number of columns"),
+    ("x,density\n-0.5,1\n0.5,1 # note\n", "malformed grid CSV: could not convert string '1 # note'"),
+    ("x,density\n", "needs >= 2 rows"),
+    ("# singular-points: 0\n\nx,density\n \n", "needs >= 2 rows"),
     ("x,density\n0.5,1\n", "needs >= 2 rows"),
+    ("x,density\n-0.5,1,2\n0.5,1,2\n", "needs >= 2 rows"),
+    ("x,density\n-0.5\n0.5\n", "needs >= 2 rows"),
     ("x,density\n-1,1\n0,1\n1,1\n", "must have an even number of rows"),
     ("x,density\n0.5,1\n1.5,1\n", "are not a midpoint grid"),
     (
@@ -294,7 +301,8 @@ MALFORMED_CSV = [
 
 def test_csv_rejects_malformed():
     for text, message in MALFORMED_CSV:
-        with pytest.raises(ValueError) as info:
+        with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+            warnings.simplefilter("error")
             dist.GridDensity.from_csv(text)
         assert message in str(info.value), text
 
